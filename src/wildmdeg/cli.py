@@ -15,7 +15,8 @@ Subcommands
     Run the elementary-reduction inequality audit for the triple
     (D, D+K(D+1), D+2K(D+1)).  Exit code 0 when every case is excluded.
 ``verify --suite NAME``
-    Re-run a family of internal cross-checks.  Exit code 0 when all pass.
+    Re-run a family of internal cross-checks.  Exit code 0 when all pass;
+    bounds that select no check at all are a parameter error.
 
 Every subcommand accepts ``--format {text,json}`` (after the subcommand
 name); JSON output is deterministic (sorted keys, two-space indent).
@@ -470,6 +471,8 @@ def _run_verify(args) -> int:
         "gcds": _suite_gcds,
     }[args.suite]
     suite(args, checks)
+    if not checks:
+        raise ValueError(f"the bounds select no checks for suite {args.suite!r}")
     passed = sum(1 for _, ok in checks if ok)
     if args.format == "json":
         document = {

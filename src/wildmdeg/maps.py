@@ -115,7 +115,7 @@ class NagataShear:
         u, v, w = coords
         quadric = v * v + u * w
         q_k = quadric**self.power
-        q_2k = q_k * q_k
+        q_2k = quadric ** (2 * self.power)
         c = self.scale
         first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
         second = v + (w * q_k) * c
@@ -289,7 +289,7 @@ def nagata(k: int) -> PolyMap:
     if not isinstance(k, int) or k < 1:
         raise ValueError("nagata needs a positive integer power")
     q_k = INVARIANT_QUADRIC**k
-    q_2k = q_k * q_k
+    q_2k = INVARIANT_QUADRIC ** (2 * k)
     coords = (X - (Y * q_k) * 2 - Z * q_2k, Y + Z * q_k, Z)
     return PolyMap(coords=coords, factors=(NagataShear(k),))
 

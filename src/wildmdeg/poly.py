@@ -20,12 +20,39 @@ Input may additionally use parentheses and '^' on parenthesized groups,
 e.g. ``x - 2*y*(y^2+z*x) - z*(y^2+z*x)^2``.  Output is always the expanded
 normal form with terms in descending graded lexicographic order (total
 degree first, then x > y > z), so rendered strings are stable across runs.
+
+Arithmetic kernel.  Products, powers and substitution share one kernel
+that works on *packed keys*: the exponent triple (e0, e1, e2) becomes the
+single int ``e0 << 2w | e1 << w | e2``, so multiplying two monomials is one
+integer addition.  The field width ``w`` is taken from the largest
+exponent the result can reach, computed from the operands' maximum
+exponents, so no field ever carries into the next at any size.  Terms
+that cancel are pruned once, when a product is finished.  A product with
+a one-term factor, or a power of one, only shifts or scales exponents and
+skips the kernel.
+
+Powers are computed by the cheapest exact method the base allows.  When
+the exponent vectors of the base are affinely independent (every
+monomial and binomial, and trinomials such as y^2 + x*z + x^4), each term
+of the multinomial expansion is a distinct monomial, so the expansion is
+written out directly and the work equals the output size.  Any other
+base is multiplied into the running power one factor at a time, which
+for the sparse, weighted-homogeneous coordinates of this package costs
+fewer term products than repeated squaring.
+
+:meth:`Polynomial.substitute` builds only the powers of each image that
+occur in the polynomial.  For images on the repeated-multiplication path
+it keeps those powers in a private memo on the image itself, so a later
+substitution into the same (immutable) image reuses them instead of
+recomputing them.  The memo lives and dies with its polynomial and takes
+no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple, Union
+from math import comb
+from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 Term = Tuple[int, int, int]
 Coeff = Union[int, Fraction]
@@ -115,7 +142,9 @@ def _grlex(term: Term) -> Tuple[int, Term]:
 class Polynomial:
     """Immutable sparse polynomial in x, y, z with exact coefficients."""
 
-    __slots__ = ("_terms", "_hash")
+    # _powers: memo {exponent: Polynomial} kept by `substitute` on images
+    # that take the repeated-multiplication path (None until first used)
+    __slots__ = ("_terms", "_hash", "_powers")
 
     def __init__(self, terms: Optional[Mapping[Term, Coeff]] = None):
         clean: dict = {}
@@ -127,6 +156,7 @@ class Polynomial:
                     clean[term] = coeff
         self._terms = clean
         self._hash = None
+        self._powers = None
 
     @classmethod
     def _raw(cls, terms: dict) -> "Polynomial":
@@ -134,6 +164,7 @@ class Polynomial:
         poly = object.__new__(cls)
         poly._terms = terms
         poly._hash = None
+        poly._powers = None
         return poly
 
     @classmethod
@@ -240,16 +271,17 @@ class Polynomial:
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
+            if not self._terms or not other._terms:
+                return ZERO
+            # a monomial factor only shifts exponents: skip the kernel's set-up
+            if len(other._terms) == 1:
+                return _shifted(self, other)
+            if len(self._terms) == 1:
+                return _shifted(other, self)
+            width = (_max_exponent(self) + _max_exponent(other)).bit_length()
             out: dict = {}
-            for (a0, a1, a2), ca in self._terms.items():
-                for (b0, b1, b2), cb in other._terms.items():
-                    key = (a0 + b0, a1 + b1, a2 + b2)
-                    value = out.get(key, 0) + ca * cb
-                    if value:
-                        out[key] = value
-                    else:
-                        out.pop(key, None)
-            return Polynomial._raw(out)
+            _accumulate(out, _pack(self, width), _pack(other, width))
+            return _unpack(out.items(), width)
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
@@ -266,16 +298,17 @@ class Polynomial:
             return NotImplemented
         if exponent < 0:
             raise ValueError("polynomial exponent must be non-negative")
-        result = ONE
-        base = self
-        n = exponent
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if exponent == 0:
+            return ONE
+        if not self._terms:
+            return ZERO
+        if len(self._terms) == 1:
+            (((e0, e1, e2), c),) = self._terms.items()
+            n = exponent
+            return Polynomial._raw({(e0 * n, e1 * n, e2 * n): c**n})
+        width = (exponent * _max_exponent(self)).bit_length()
+        power = _packed_powers(self, [exponent], width, remember=False)
+        return _unpack(power[exponent], width)
 
     def substitute(
         self,
@@ -286,15 +319,28 @@ class Polynomial:
         """Evaluate at three polynomial arguments (map-composition workhorse)."""
         if not self._terms:
             return ZERO
-        pow_x = _power_table(x_image, max(t[0] for t in self._terms))
-        pow_y = _power_table(y_image, max(t[1] for t in self._terms))
-        pow_z = _power_table(z_image, max(t[2] for t in self._terms))
+        images = (x_image, y_image, z_image)
+        used = [sorted({t[i] for t in self._terms} - {0}) for i in range(3)]
+        bound = sum(e[-1] * _max_exponent(img) for e, img in zip(used, images) if e)
+        width = bound.bit_length()
+        tables = [
+            _packed_powers(img, e, width, remember=True)
+            for e, img in zip(used, images)
+        ]
         out: dict = {}
-        for (ex, ey, ez), coeff in self._terms.items():
-            piece = pow_x[ex] * pow_y[ey] * pow_z[ez]
-            for term, c in piece._terms.items():
-                out[term] = out.get(term, 0) + coeff * c
-        return Polynomial._raw({t: c for t, c in out.items() if c})
+        for term, coeff in self._terms.items():
+            # coeff * x_image^ex * y_image^ey * z_image^ez, smallest factor
+            # first; a constant term multiplies the packed 1, [(0, 1)]
+            factors = sorted(
+                (table[e] for table, e in zip(tables, term) if e), key=len
+            ) or [[(0, 1)]]
+            head = [(0, coeff)]
+            for factor in factors[:-1]:
+                partial: dict = {}
+                _accumulate(partial, head, factor)
+                head = _pruned(partial)
+            _accumulate(out, head, factors[-1])
+        return _unpack(out.items(), width)
 
     # -- identity ---------------------------------------------------------
 
@@ -338,11 +384,160 @@ def _coerce(value: object) -> Optional[Polynomial]:
     return None
 
 
-def _power_table(poly: Polynomial, up_to: int) -> list:
-    table = [ONE]
-    for _ in range(up_to):
-        table.append(table[-1] * poly)
-    return table
+# -- the packed-key kernel ---------------------------------------------------
+#
+# A packed term list is a list of (packed key, coefficient) pairs.  Every
+# packed key of one computation uses the same field width w, the bit length
+# of the largest exponent that computation can produce, so adding two keys
+# never carries from one exponent field into the next.
+
+PackedTerms = List[Tuple[int, Coeff]]
+
+
+def _max_exponent(poly: Polynomial) -> int:
+    return max(map(max, poly._terms), default=0)
+
+
+def _pack(poly: Polynomial, width: int) -> PackedTerms:
+    shift = 2 * width
+    return [
+        ((e0 << shift) | (e1 << width) | e2, c)
+        for (e0, e1, e2), c in poly._terms.items()
+    ]
+
+
+def _unpack(items: Iterable[Tuple[int, Coeff]], width: int) -> Polynomial:
+    """Polynomial of packed terms, dropping the terms that cancelled."""
+    shift = 2 * width
+    mask = (1 << width) - 1
+    return Polynomial._raw(
+        {(k >> shift, (k >> width) & mask, k & mask): c for k, c in items if c}
+    )
+
+
+def _shifted(poly: Polynomial, monomial: Polynomial) -> Polynomial:
+    """``poly`` times a one-term polynomial; no two terms merge or cancel."""
+    (((m0, m1, m2), c),) = monomial._terms.items()
+    return Polynomial._raw(
+        {(e0 + m0, e1 + m1, e2 + m2): v * c for (e0, e1, e2), v in poly._terms.items()}
+    )
+
+
+def _pruned(out: dict) -> PackedTerms:
+    return [(k, c) for k, c in out.items() if c]
+
+
+def _accumulate(out: dict, a: PackedTerms, b: PackedTerms) -> None:
+    """Add the product of ``a`` and ``b`` into ``out`` (packed key -> coeff).
+
+    Cancelled terms stay in ``out`` as zeros; callers prune once at the end.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
+def _affinely_independent(terms: dict) -> bool:
+    """True when the exponent vectors of ``terms`` are affinely independent.
+
+    Then distinct multinomial exponent tuples (k_i) with sum k_i = n give
+    distinct monomials sum k_i * v_i, so no two terms of a power merge.
+    """
+    if len(terms) > 4:
+        return False
+    points = list(terms)
+    if len(points) <= 2:
+        return True
+    o0, o1, o2 = points[0]
+    (a0, a1, a2), (b0, b1, b2), *rest = [
+        (p0 - o0, p1 - o1, p2 - o2) for p0, p1, p2 in points[1:]
+    ]
+    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if not rest:
+        return cross != (0, 0, 0)
+    c0, c1, c2 = rest[0]
+    return cross[0] * c0 + cross[1] * c1 + cross[2] * c2 != 0
+
+
+def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
+    """``base**n`` by the multinomial theorem, for affinely independent bases.
+
+    Every generated term is a distinct monomial with a nonzero coefficient.
+    """
+    if len(base) == 1:
+        ((key, coeff),) = base
+        return [(key * n, coeff**n)]
+    keys = [k for k, _ in base]
+    powers = []
+    for _, c in base:
+        row = [1, c]
+        for _ in range(n - 1):
+            row.append(row[-1] * c)
+        powers.append(row)
+    last = len(base) - 1
+    out: PackedTerms = []
+
+    def expand(i: int, remaining: int, key: int, coeff: Coeff) -> None:
+        if i == last - 1:
+            ki, kl = keys[i], keys[last]
+            pi, pl = powers[i], powers[last]
+            for j in range(remaining + 1):
+                out.append(
+                    (
+                        key + j * ki + (remaining - j) * kl,
+                        coeff * comb(remaining, j) * pi[j] * pl[remaining - j],
+                    )
+                )
+            return
+        for j in range(remaining + 1):
+            expand(
+                i + 1,
+                remaining - j,
+                key + j * keys[i],
+                coeff * comb(remaining, j) * powers[i][j],
+            )
+
+    expand(0, n, 0, 1)
+    return out
+
+
+def _packed_powers(
+    base: Polynomial, exponents: List[int], width: int, remember: bool
+) -> dict:
+    """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
+
+    Affinely independent bases expand by the multinomial theorem.  Other
+    bases are multiplied up one factor at a time; with ``remember`` the
+    requested powers are also kept in the memo ``base._powers`` and read
+    back from it on later calls.  ``width`` must hold every exponent of
+    ``base**max(exponents)``.
+    """
+    if not base._terms:
+        return {e: [] for e in exponents}
+    step = _pack(base, width)
+    if _affinely_independent(base._terms):
+        return {e: _multinomial(step, e) for e in exponents}
+    memo = base._powers if remember else None
+    found = {}
+    power, current = 1, step
+    for e in exponents:
+        cached = memo.get(e) if memo else None
+        if cached is not None:
+            power, current = e, _pack(cached, width)
+        while power < e:
+            out: dict = {}
+            _accumulate(out, current, step)
+            power, current = power + 1, _pruned(out)
+        found[e] = current
+        if remember and e > 1 and cached is None:
+            if memo is None:
+                memo = base._powers = {}
+            memo[e] = _unpack(current, width)
+    return found
 
 
 def _render_term(coeff: Coeff, term: Term) -> str:

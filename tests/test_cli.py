@@ -314,6 +314,19 @@ class TestVerifyCommand:
         assert document["all_ok"] is True
         assert document["passed"] == document["total"] == 1
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--suite", "identities", "--kmax", "0"),
+            ("--suite", "reductions", "--dmax", "3"),
+        ],
+    )
+    def test_empty_grid_is_usage_error(self, capsys, bounds):
+        code, out, err = run(capsys, "verify", *bounds)
+        assert code == 3
+        assert out == ""
+        assert "select no checks" in err
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import SEED, random_nonzero_poly, random_poly
 from wildmdeg import (
+    INVARIANT_QUADRIC,
     MAX_EXPONENT,
     MINUS_INFINITY,
     ONE,
@@ -18,11 +19,16 @@ from wildmdeg import (
     Y,
     Z,
     ZERO,
+    Family,
+    FamilyParams,
     MinusInfinity,
     ParseError,
     Polynomial,
+    compose,
+    inverse,
     is_scaled_power,
     parse,
+    wild_family,
 )
 
 QUADRIC = Y * Y + X * Z
@@ -344,3 +350,138 @@ class TestIsScaledPower:
             is_scaled_power(X + 1, X)
         with pytest.raises(ValueError):
             is_scaled_power(X, X + 1)
+
+
+def _to_ring(poly, ring):
+    """Independent sparse copy of ``poly`` in a sympy polynomial ring over QQ."""
+    from sympy import QQ
+
+    return ring.from_dict(
+        {t: QQ(c.numerator, c.denominator) for t, c in poly.terms().items()}
+    )
+
+
+class TestSympyOracle:
+    """Products, powers, substitution and partial derivatives against sympy.
+
+    sympy is a test-only oracle; its sparse ring keeps huge exponents cheap.
+    """
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        sympy_rings = pytest.importorskip("sympy.polys.rings")
+        from sympy import QQ
+
+        return sympy_rings.ring("x,y,z", QQ)[0]
+
+    # exponent vectors affinely independent: the multinomial path
+    INDEPENDENT = [
+        X,
+        -3 * Y**4 * Z,
+        X + 2 * Y**3,
+        Y**2 + X * Z + X**4,
+        3 * X - Fraction(1, 2) * Y * Z + Z**2 + 1,
+        X + Y + X * Y,
+    ]
+    # affinely dependent: repeated multiplication by the base
+    DEPENDENT = [
+        1 + X + X**2,
+        X + Y + X * Y + 1,
+        Y**2 + X * Z - 2 * X * Y + Z + 1,
+        X * Y - Fraction(2, 3) * Y * Z + X**2 + Z**2 + Y,
+    ]
+
+    def test_products_of_random_polynomials(self, ring):
+        rng = Random(SEED)
+        for _ in range(120):
+            a = random_poly(rng, max_terms=8, fractions=True)
+            b = random_poly(rng, max_terms=8, fractions=True)
+            assert _to_ring(a * b, ring) == _to_ring(a, ring) * _to_ring(b, ring)
+
+    @pytest.mark.parametrize("base", INDEPENDENT + DEPENDENT, ids=str)
+    def test_powers_on_both_paths(self, ring, base):
+        for n in (0, 1, 2, 3, 5, 8):
+            assert _to_ring(base**n, ring) == _to_ring(base, ring) ** n
+
+    def test_powers_of_random_polynomials(self, ring):
+        rng = Random(SEED + 1)
+        for _ in range(60):
+            base = random_poly(rng, max_terms=6, max_exponent=3, fractions=True)
+            n = rng.randrange(1, 7)
+            assert _to_ring(base**n, ring) == _to_ring(base, ring) ** n
+
+    def test_substitution_of_random_polynomials(self, ring):
+        rng = Random(SEED + 2)
+        gens = ring.gens
+        images = self.INDEPENDENT + self.DEPENDENT + [ZERO, ONE]
+        for _ in range(80):
+            poly = random_poly(rng, max_terms=6, fractions=True)
+            chosen = [rng.choice(images) for _ in range(3)]
+            expected = _to_ring(poly, ring).compose(
+                [(g, _to_ring(image, ring)) for g, image in zip(gens, chosen)]
+            )
+            assert _to_ring(poly.substitute(*chosen), ring) == expected
+
+    def test_partial_derivatives_of_random_polynomials(self, ring):
+        rng = Random(SEED + 3)
+        for _ in range(60):
+            poly = random_poly(rng, max_terms=8, fractions=True)
+            for index, name in enumerate("xyz"):
+                expected = _to_ring(poly, ring).diff(ring.gens[index])
+                assert _to_ring(poly.partial(name), ring) == expected
+
+    def test_exponents_beyond_64_bits_never_carry(self, ring):
+        big = 2**64
+        a = X ** (big - 1) + 3 * Y ** (big + 5) * Z + Z ** (big - 1) - 1
+        b = X ** (big + 1) * Y - Y ** (big - 1) + 7 * Z**big + X
+        assert _to_ring(a * b, ring) == _to_ring(a, ring) * _to_ring(b, ring)
+        assert (a * b).total_degree() == 2 * big + 8
+        c = X ** (big - 1) + Y**big * Z
+        assert _to_ring(c**3, ring) == _to_ring(c, ring) ** 3
+        assert parse("(x^1000000000)^1000000000") ** 100 == X ** (10**20)
+
+
+class TestPowerMemo:
+    """Substitution keeps the powers it used on dependent images, and only those."""
+
+    def test_repeated_substitution_is_stable(self):
+        image = 1 + X + X**2 + Y
+        poly = X**3 + 2 * X**5 * Z - Y
+        first = poly.substitute(image, Y, Z)
+        assert sorted(image._powers) == [3, 5]
+        second = poly.substitute(image, Y, Z)
+        assert first == second
+        assert first == image**3 + 2 * image**5 * Z - Y
+        assert sorted(image._powers) == [3, 5]
+
+    def test_memo_is_invisible_to_equality_and_hashing(self):
+        image = 1 + X + X**2
+        fresh = Polynomial(image.terms())
+        (X**4).substitute(image, Y, Z)
+        assert image._powers and fresh._powers is None
+        assert image == fresh
+        assert hash(image) == hash(fresh)
+        assert len({image, fresh}) == 1
+
+    def test_only_dependent_bases_get_a_memo(self):
+        for base in TestSympyOracle.INDEPENDENT + TestSympyOracle.DEPENDENT:
+            image = Polynomial(base.terms())
+            (X**6 * Y).substitute(image, Y, Z)
+            if base in TestSympyOracle.DEPENDENT:
+                assert sorted(image._powers) == [6]
+            else:
+                assert image._powers is None
+
+    def test_module_constants_stay_memo_free(self):
+        for family, d in (
+            (Family.ODD_1_MOD_4, 5),
+            (Family.ODD_GENERAL, 3),
+            (Family.EVEN_GT_4, 6),
+            (Family.D_EQUALS_4, 4),
+        ):
+            _, classification = wild_family(FamilyParams(family, d, 1))
+            realization = classification.realization
+            assert compose(inverse(realization), realization).is_identity()
+            assert compose(realization, inverse(realization)).is_identity()
+        for constant in (X, Y, Z, INVARIANT_QUADRIC):
+            assert constant._powers is None
