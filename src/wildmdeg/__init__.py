@@ -35,7 +35,6 @@ from .poly import (
     MinusInfinity,
     ParseError,
     Polynomial,
-    is_scaled_power,
     parse,
 )
 from .maps import (
@@ -72,10 +71,13 @@ from .reduction import (
     REDUCTION_IMPOSSIBLE,
     CaseReport,
     InequalityCheck,
+    ReductionAudit,
     ReductionQuery,
     TypeThreeReport,
     bracket_degree,
+    family_triple,
     no_elementary_reduction_check,
+    reduction_audit,
     su_lower_bound,
     type_iii_check,
 )
@@ -118,7 +120,6 @@ __all__ = [
     "Y",
     "Z",
     "ZERO",
-    "is_scaled_power",
     "parse",
     # maps
     "INVARIANT_QUADRIC",
@@ -152,10 +153,13 @@ __all__ = [
     "INCONCLUSIVE",
     "InequalityCheck",
     "REDUCTION_IMPOSSIBLE",
+    "ReductionAudit",
     "ReductionQuery",
     "TypeThreeReport",
     "bracket_degree",
+    "family_triple",
     "no_elementary_reduction_check",
+    "reduction_audit",
     "su_lower_bound",
     "type_iii_check",
     # classify

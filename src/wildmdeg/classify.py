@@ -29,13 +29,13 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .poly import X
+from .poly import X, _check_int
 from .reduction import (
-    REDUCTION_IMPOSSIBLE,
     CaseReport,
     TypeThreeReport,
-    no_elementary_reduction_check,
-    type_iii_check,
+    _validate_sorted_triple,
+    family_triple,
+    reduction_audit,
 )
 
 Triple = Tuple[int, int, int]
@@ -112,65 +112,29 @@ class NonMembershipTrace:
         }
 
 
-def _exclusion_preconditions(r: int, k: int, what: str) -> None:
-    for name, value in (("r", r), ("k", k)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{name} must be an int")
-    if r < 3 or r % 2 == 0:
-        raise ValueError(f"{what} needs odd r >= 3")
-    if k < 1:
-        raise ValueError(f"{what} needs k >= 1")
-    if gcd(r, k) != 1:
-        raise ValueError(f"{what} needs gcd(r, k) = 1, got gcd = {gcd(r, k)}")
+def _progression_exclusion(
+    triple: Triple, k: int, reason: str
+) -> NonMembershipTrace:
+    """Why d3 is not in <d1, d2> for an arithmetic progression d1, d2, d3
+    whose first term d1 >= 3 is odd and coprime to k.
 
-
-def short_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
-    """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
-    _exclusion_preconditions(r, k, "short_progression_exclusion")
-    d1, d2, d3 = r, r + 2 * k, r + 4 * k
-    steps = [
-        ProofStep(
-            f"gcd({d1}, {d2}) == gcd({d1}, {2 * k})",
-            gcd(d1, d2) == gcd(d1, 2 * k),
-        ),
-        ProofStep(
-            f"gcd({d1}, {2 * k}) == gcd({d1}, {k}) since {d1} is odd",
-            gcd(d1, 2 * k) == gcd(d1, k),
-        ),
-        ProofStep(f"gcd({d1}, {k}) == 1", gcd(d1, k) == 1),
-        ProofStep(
-            f"2*{d2} > {d3}: any a*{d1} + b*{d2} = {d3} has b <= 1",
-            2 * d2 > d3,
-        ),
-        ProofStep(
-            f"b = 1 needs {d1} | {d3 - d2}, but {d3 - d2} mod {d1} ="
-            f" {(d3 - d2) % d1} != 0",
-            (d3 - d2) % d1 != 0,
-        ),
-        ProofStep(
-            f"b = 0 needs {d1} | {d3}, but {d3} mod {d1} = {d3 % d1} != 0",
-            d3 % d1 != 0,
-        ),
-        ProofStep(
-            "exhaustive scan finds no representation",
-            semigroup_member(d1, d2, d3) is None,
-        ),
-    ]
-    return NonMembershipTrace.from_steps((d1, d2), d3, steps)
-
-
-def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
-    """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
-    _exclusion_preconditions(r, k, "long_progression_exclusion")
-    step = k * (r + 1)
-    d1, d2, d3 = r, r + step, r + 2 * step
+    ``reason`` says why gcd(d1, d3 - d2) == gcd(d1, k).
+    """
+    d1, d2, d3 = triple
+    _check_int(d1, "r", 3)
+    _check_int(k, "k", 1)
+    if d1 % 2 == 0:
+        raise ValueError("r must be odd")
+    if gcd(d1, k) != 1:
+        raise ValueError(f"need gcd(r, k) = 1, got gcd = {gcd(d1, k)}")
+    step = d3 - d2
     steps = [
         ProofStep(
             f"gcd({d1}, {d2}) == gcd({d1}, {step})",
             gcd(d1, d2) == gcd(d1, step),
         ),
         ProofStep(
-            f"gcd({d1}, {step}) == gcd({d1}, {k}) since gcd({d1}, {r + 1}) = 1",
+            f"gcd({d1}, {step}) == gcd({d1}, {k}) since {reason}",
             gcd(d1, step) == gcd(d1, k),
         ),
         ProofStep(f"gcd({d1}, {k}) == 1", gcd(d1, k) == 1),
@@ -193,6 +157,18 @@ def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
         ),
     ]
     return NonMembershipTrace.from_steps((d1, d2), d3, steps)
+
+
+def short_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
+    """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
+    return _progression_exclusion((r, r + 2 * k, r + 4 * k), k, f"{r} is odd")
+
+
+def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
+    """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
+    return _progression_exclusion(
+        family_triple(r, k), k, f"gcd({r}, {r + 1}) = 1"
+    )
 
 
 @dataclass(frozen=True)
@@ -308,20 +284,6 @@ class Classification:
         return document
 
 
-def _validate_triple(triple) -> Triple:
-    values = tuple(triple)
-    if len(values) != 3 or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError(f"a degree triple is three ints, got {triple!r}")
-    d1, d2, d3 = values
-    if d1 < 1:
-        raise ValueError("degrees must be positive")
-    if not d1 <= d2 <= d3:
-        raise ValueError(f"degree triple must be sorted, got {values}")
-    return values
-
-
 def classify_tame(triple) -> Classification:
     """Decide whether a sorted degree triple is the multidegree of a tame map.
 
@@ -345,7 +307,7 @@ def classify_tame(triple) -> Classification:
     —      anything else: unknown.
     =====  ============================================================
     """
-    d1, d2, d3 = triple = _validate_triple(triple)
+    d1, d2, d3 = triple = _validate_sorted_triple(triple)
 
     if d1 == 1:  # R1
         witness = PolyMap(
@@ -426,24 +388,22 @@ def classify_tame(triple) -> Classification:
             ),
         )
 
-    if d1 % 2 == 0 and d1 > 4 and (d2 - d1) % (d1 + 1) == 0:  # R7
-        k = (d2 - d1) // (d1 + 1)
-        if (
-            k >= 1
-            and gcd(d1, k) == 1
-            and d3 == d1 + 2 * k * (d1 + 1)
-        ):
-            cases = no_elementary_reduction_check(d1, k)
-            type_iii = type_iii_check(triple)
-            if type_iii.excluded and all(
-                case.conclusion == REDUCTION_IMPOSSIBLE for case in cases
-            ):
-                return Classification(
-                    triple,
-                    TameStatus.NOT_TAME,
-                    "R7",
-                    ReductionCertificate(d1, k, tuple(cases), type_iii),
-                )
+    k = (d2 - d1) // (d1 + 1)
+    if (  # R7
+        d1 % 2 == 0
+        and d1 > 4
+        and k >= 1
+        and gcd(d1, k) == 1
+        and family_triple(d1, k) == triple
+    ):
+        audit = reduction_audit(d1, k)
+        if audit.excluded:
+            return Classification(
+                triple,
+                TameStatus.NOT_TAME,
+                "R7",
+                ReductionCertificate(d1, k, audit.cases, audit.type_iii),
+            )
 
     return Classification(triple, TameStatus.UNKNOWN, None, None)
 
@@ -457,40 +417,31 @@ class FamilyParams:
     k: int
 
     def __post_init__(self):
-        for name, value in (("d", self.d), ("k", self.k)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int")
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        _check_int(self.d, "d", 1)
+        _check_int(self.k, "k", 1)
         family, d, k = self.family, self.d, self.k
         if family is Family.ODD_1_MOD_4:
             if d < 5 or d % 4 != 1:
                 raise ValueError("family needs d = 1 (mod 4) with d > 1")
-            if gcd(d, k) != 1:
-                raise ValueError("family needs gcd(d, k) = 1")
         elif family is Family.ODD_GENERAL:
             if d < 3 or d % 2 == 0:
                 raise ValueError("family needs odd d > 1")
-            if gcd(d, k) != 1:
-                raise ValueError("family needs gcd(d, k) = 1")
         elif family is Family.EVEN_GT_4:
             if d < 6 or d % 2 == 1:
                 raise ValueError("family needs even d > 4")
-            if gcd(d, k) != 1:
-                raise ValueError("family needs gcd(d, k) = 1")
         elif family is Family.D_EQUALS_4:
             if d != 4:
                 raise ValueError("family needs d = 4")
-            if k % 2 == 0:
-                raise ValueError("family needs odd k")
         else:  # pragma: no cover - Family is a closed enum
             raise ValueError(f"unknown family {family!r}")
+        if not _admissible(family, d, k):
+            raise ValueError("family needs gcd(d, k) = 1, or odd k for d = 4")
 
     def triple(self) -> Triple:
         d, k = self.d, self.k
         if self.family is Family.ODD_1_MOD_4:
             return (d, d + 2 * k, d + 4 * k)
-        return (d, d + k * (d + 1), d + 2 * k * (d + 1))
+        return family_triple(d, k)
 
     def witness(self) -> PolyMap:
         d, k = self.d, self.k
@@ -545,8 +496,7 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
 
 def default_family(d: int) -> Family:
     """The family used by :func:`enumerate_wild` for smallest degree d."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 3:
-        raise ValueError("wild triples with smallest degree < 3 do not exist")
+    _check_int(d, "d", 3)  # wild triples with smallest degree < 3 do not exist
     if d == 4:
         return Family.D_EQUALS_4
     if d % 2 == 0:
@@ -570,8 +520,7 @@ def enumerate_wild(d: int, count: int) -> List[Classification]:
     degrees are strictly increasing.  Each result carries its realization.
     """
     family = default_family(d)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise ValueError("count must be a non-negative integer")
+    _check_int(count, "count", 0)
     results: List[Classification] = []
     k = 0
     while len(results) < count:

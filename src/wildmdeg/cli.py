@@ -54,11 +54,7 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .reduction import (
-    REDUCTION_IMPOSSIBLE,
-    no_elementary_reduction_check,
-    type_iii_check,
-)
+from .reduction import family_triple, reduction_audit
 
 _EXIT_USAGE = 3
 
@@ -334,26 +330,13 @@ def _run_wild_enum(args) -> int:
 
 
 def _run_check_reductions(args) -> int:
-    d, k = args.d, args.k
-    cases = no_elementary_reduction_check(d, k)
-    triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
-    type_iii = type_iii_check(triple)
-    excluded = type_iii.excluded and all(
-        case.conclusion == REDUCTION_IMPOSSIBLE for case in cases
-    )
+    audit = reduction_audit(args.d, args.k)
+    type_iii = audit.type_iii
     if args.format == "json":
-        document = {
-            "d": d,
-            "k": k,
-            "triple": list(triple),
-            "cases": [case.to_dict() for case in cases],
-            "type_iii": type_iii.to_dict(),
-            "all_excluded": excluded,
-        }
-        print(_dump(document))
+        print(_dump(audit.to_dict()))
     else:
-        print(f"triple {triple} from d={d}, k={k}")
-        for case in cases:
+        print(f"triple {audit.triple} from d={audit.d}, k={audit.k}")
+        for case in audit.cases:
             print(f"case {case.coordinate}: {case.conclusion}")
             for check in case.checks:
                 mark = "ok" if check.holds else "XX"
@@ -371,11 +354,11 @@ def _run_check_reductions(args) -> int:
             "result: "
             + (
                 "no elementary reduction exists"
-                if excluded
+                if audit.excluded
                 else "NOT fully excluded"
             )
         )
-    return 0 if excluded else 1
+    return 0 if audit.excluded else 1
 
 
 def _range_or_single(value: Optional[int], stop: int, start: int = 1):
@@ -429,17 +412,13 @@ def _even_family_pairs(args):
 
 def _suite_reductions(args, checks: List[Tuple[str, bool]]) -> None:
     for d, k in _even_family_pairs(args):
-        cases = no_elementary_reduction_check(d, k)
-        triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
-        ok = type_iii_check(triple).excluded and all(
-            case.conclusion == REDUCTION_IMPOSSIBLE for case in cases
-        )
+        ok = reduction_audit(d, k).excluded
         checks.append((f"reductions excluded for d={d}, k={k}", ok))
 
 
 def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
     for d, k in _even_family_pairs(args):
-        d1, d2, d3 = d, d + k * (d + 1), d + 2 * k * (d + 1)
+        d1, d2, d3 = family_triple(d, k)
         ok = (
             gcd(d1, d2) == 1 and gcd(d2, d3) == 1 and gcd(d1, d3) == 2
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .maps import INVARIANT_QUADRIC, PolyMap
-from .poly import Polynomial, X, Y, Z, ZERO
+from .poly import Polynomial, X, Y, Z, ZERO, _check_int
 
 #: Iteration guard for `exp`: chains D^i(v) must reach 0 within this many steps.
 DEFAULT_MAX_ITERATIONS = 16
@@ -69,8 +69,7 @@ def exp(
     Raises :class:`NotNilpotentWithinBudget` if any chain D^i(v) is still
     nonzero after ``max_iterations`` applications of D.
     """
-    if not isinstance(max_iterations, int) or max_iterations < 1:
-        raise ValueError("max_iterations must be a positive integer")
+    _check_int(max_iterations, "max_iterations", 1)
     images = []
     for variable in (X, Y, Z):
         accumulated = variable
@@ -96,8 +95,7 @@ def nagata_exp(
     The closed form has integer coefficients; the rational bookkeeping of
     `exp` must land back on integers, and this is asserted.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("nagata_exp needs a positive integer power")
+    _check_int(k, "k", 1)
     scaled = nagata_derivation().scaled_by(INVARIANT_QUADRIC**k)
     result = exp(scaled, max_iterations)
     for coord in result.coords:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX
+from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
 INVARIANT_QUADRIC = Y * Y + X * Z
@@ -102,8 +102,7 @@ class NagataShear:
     scale: Coeff = 1
 
     def __post_init__(self):
-        if not isinstance(self.power, int) or self.power < 1:
-            raise ValueError("shear power must be a positive integer")
+        _check_int(self.power, "shear power", 1)
         if isinstance(self.scale, bool) or not isinstance(
             self.scale, (int, Fraction)
         ):
@@ -275,8 +274,7 @@ def triangular(variable: str, shift: Polynomial) -> PolyMap:
 
 def z_shift(d: int) -> PolyMap:
     """The triangular map (x, y, z + x^d)."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("z_shift needs a positive integer power")
+    _check_int(d, "d", 1)
     return triangular("z", X**d)
 
 
@@ -286,8 +284,7 @@ def nagata(k: int) -> PolyMap:
     Coordinates (x - 2y*q^k - z*q^2k, y + z*q^k, z) with q = y^2 + x*z;
     k = 1 is the classical Nagata automorphism, with multidegree (5, 3, 1).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("nagata needs a positive integer power")
+    _check_int(k, "k", 1)
     q_k = INVARIANT_QUADRIC**k
     q_2k = INVARIANT_QUADRIC ** (2 * k)
     coords = (X - (Y * q_k) * 2 - Z * q_2k, Y + Z * q_k, Z)
@@ -299,8 +296,7 @@ def sheared_nagata(d: int, k: int) -> PolyMap:
 
     Its multidegree is (d, d + k(d+1), d + 2k(d+1)).
     """
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("sheared_nagata needs d >= 1")
+    _check_int(d, "d", 1)
     return compose(compose(transposition(), nagata(k)), z_shift(d))
 
 
@@ -312,10 +308,8 @@ def short_progression_map(l: int, k: int) -> PolyMap:
     g^2 + f*h = y^2 + x*z for the inner map (f, g, h), which is checked at
     build time.
     """
-    if not isinstance(l, int) or l < 1:
-        raise ValueError("short_progression_map needs l >= 1")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("short_progression_map needs k >= 1")
+    _check_int(l, "l", 1)
+    _check_int(k, "k", 1)
     inner = compose(transposition(), nagata(l))
     f, g, h = inner.coords
     if g * g + f * h != INVARIANT_QUADRIC:
@@ -331,10 +325,8 @@ def long_progression_map(r: int, k: int) -> PolyMap:
     For r = 1 this is transposition ∘ nagata(k); for larger r it is the
     sheared construction.
     """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError("long_progression_map needs r >= 1")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("long_progression_map needs k >= 1")
+    _check_int(r, "r", 1)
+    _check_int(k, "k", 1)
     if r == 1:
         return compose(transposition(), nagata(k))
     return sheared_nagata(r, k)
@@ -346,14 +338,12 @@ def tame_witness(d1: int, d2: int, d3: int, a: int, b: int) -> PolyMap:
     The map is (x + z^d1, y + z^d2, z + (x + z^d1)^a * (y + z^d2)^b),
     composed from three triangular generators.
     """
-    for name, value in (("d1", d1), ("d2", d2), ("d3", d3)):
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
+    for name, value, minimum in (
+        ("d1", d1, 1), ("d2", d2, 1), ("d3", d3, 1), ("a", a, 0), ("b", b, 0)
+    ):
+        _check_int(value, name, minimum)
     if not (d1 <= d2 <= d3):
         raise ValueError("degrees must satisfy d1 <= d2 <= d3")
-    for name, value in (("a", a), ("b", b)):
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer")
     if (a, b) == (0, 0):
         raise ValueError("witness exponents (a, b) must not both be zero")
     if a * d1 + b * d2 != d3:

@@ -134,6 +134,15 @@ def _check_term(term: object) -> Term:
     return term
 
 
+def _check_int(value: object, name: str, minimum: int) -> None:
+    """Check an integer parameter: TypeError unless ``value`` is an int
+    (bools excluded), ValueError when it is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
 def _grlex(term: Term) -> Tuple[int, Term]:
     """Sort key for graded lexicographic order with x > y > z."""
     return (term[0] + term[1] + term[2], term)
@@ -670,32 +679,3 @@ class _Parser:
             raise ParseError(f"expected {what}", start)
         return int(self.text[start : self.pos])
 
-
-def is_scaled_power(
-    candidate: Polynomial, base: Polynomial
-) -> Optional[Tuple[Coeff, int]]:
-    """Write ``candidate`` as ``c * base**t`` when possible.
-
-    Both arguments must be nonzero and homogeneous.  Returns ``(c, t)``
-    with ``t >= 0`` when such a representation exists, else ``None``.
-    """
-    if candidate.is_zero() or base.is_zero():
-        raise ValueError("is_scaled_power needs nonzero polynomials")
-    if not candidate.is_homogeneous() or not base.is_homogeneous():
-        raise ValueError("is_scaled_power needs homogeneous polynomials")
-    deg_candidate = candidate.total_degree()
-    deg_base = base.total_degree()
-    if deg_candidate == 0:
-        return (candidate.coefficient((0, 0, 0)), 0)
-    if deg_base == 0 or deg_candidate % deg_base:
-        return None
-    t = deg_candidate // deg_base
-    power = base**t
-    lead = max(power._terms, key=_grlex)
-    numerator = candidate.coefficient(lead)
-    if numerator == 0:
-        return None
-    scale = _check_coeff(Fraction(numerator) / Fraction(power._terms[lead]))
-    if candidate == power * scale:
-        return (scale, t)
-    return None

@@ -9,18 +9,21 @@ deg G(f, g) from below in terms of deg f, deg g, the y-degree split of G
 This module packages those bounds as executable inequality checks: for
 the even-degree map family with multidegree (d, d+k(d+1), d+2k(d+1)) it
 audits every inequality and gcd fact needed to exclude an elementary
-reduction of each coordinate, and separately checks the parity/ratio
-conditions that exclude the delicate type-III reduction shape.  Together
-the two reports certify non-tameness of the triple.
+reduction of each coordinate, taking the q >= 1 degree floors from
+:func:`su_lower_bound`, and separately checks the parity/ratio
+conditions that exclude the delicate type-III reduction shape.
+:func:`reduction_audit` combines the two; when both exclude, they
+certify non-tameness of the triple (rule R7 of the classifier).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Tuple, Union
+from operator import eq, ge, lt
+from typing import List, Tuple
 
-from .poly import Degree, MINUS_INFINITY, Polynomial
+from .poly import Degree, MINUS_INFINITY, Polynomial, _check_int
 
 REDUCTION_IMPOSSIBLE = "reduction_impossible"
 INCONCLUSIVE = "inconclusive"
@@ -61,17 +64,12 @@ class ReductionQuery:
     bracket_deg_lb: int = 2
 
     def __post_init__(self):
-        for name in ("deg_f", "deg_g", "q", "r", "bracket_deg_lb"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int")
-        if not 0 < self.deg_f < self.deg_g:
-            raise ValueError("need 0 < deg_f < deg_g")
-        if self.q < 0:
-            raise ValueError("q must be non-negative")
-        if self.bracket_deg_lb < 2:
-            raise ValueError("bracket degree lower bound is at least 2")
-        if not 0 <= self.r < self.p:
+        _check_int(self.deg_f, "deg_f", 1)
+        _check_int(self.deg_g, "deg_g", self.deg_f + 1)
+        _check_int(self.q, "q", 0)
+        _check_int(self.bracket_deg_lb, "bracket_deg_lb", 2)
+        _check_int(self.r, "r", 0)
+        if self.r >= self.p:
             raise ValueError(f"r must satisfy 0 <= r < p = {self.p}")
 
     @property
@@ -134,8 +132,15 @@ class CaseReport:
         }
 
 
-def _check(name: str, lhs: int, rhs: int, holds: bool) -> InequalityCheck:
-    return InequalityCheck(name, lhs, rhs, holds)
+def family_triple(d: int, k: int) -> Tuple[int, int, int]:
+    """The family triple (d, d + k(d+1), d + 2k(d+1)) of ``sheared_nagata(d, k)``."""
+    return (d, d + k * (d + 1), d + 2 * k * (d + 1))
+
+
+def _case(coordinate: str, rows) -> CaseReport:
+    """Report from ``(name, lhs, relation, rhs)`` rows; holds = relation(lhs, rhs)."""
+    checks = [InequalityCheck(n, lhs, rhs, rel(lhs, rhs)) for n, lhs, rel, rhs in rows]
+    return CaseReport.from_checks(coordinate, checks)
 
 
 def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
@@ -144,121 +149,63 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
     Requires even d with d > 4, or d = 4 with odd k, and gcd(d, k) = 1.
     Each report lists the gcd facts and inequalities that together rule
     out an elementary reduction of that coordinate; its conclusion is
-    ``reduction_impossible`` exactly when all of them hold.
+    ``reduction_impossible`` exactly when all of them hold.  The "exact
+    q-coefficient" of the second and third coordinates is
+    :func:`su_lower_bound` at q = 1, r = 0 for the pair (d1, d3) and
+    (d1, d2) respectively.
     """
-    if not isinstance(d, int) or not isinstance(k, int):
-        raise TypeError("d and k must be ints")
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+    _check_int(d, "d", 4)
+    _check_int(k, "k", 1)
     if d % 2:
         raise ValueError("d must be even")
-    if d < 4:
-        raise ValueError("d must be at least 4")
     if d == 4 and k % 2 == 0:
         raise ValueError("for d = 4 the parameter k must be odd")
     if gcd(d, k) != 1:
         raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
-
-    d1 = d
-    d2 = d + k * (d + 1)
-    d3 = d + 2 * k * (d + 1)
+    d1, d2, d3 = family_triple(d, k)
 
     # First coordinate: G built from the degree-(d2, d3) pair.
-    reports = [
-        CaseReport.from_checks(
-            "first",
-            [
-                _check("gcd(d2, d3) == 1", gcd(d2, d3), 1, gcd(d2, d3) == 1),
-                _check(
-                    "d1 < (d2 - 1)*(d3 - 1), so q = 0",
-                    d1,
-                    (d2 - 1) * (d3 - 1),
-                    d1 < (d2 - 1) * (d3 - 1),
-                ),
-                _check("d1 < d3, so r = 0", d1, d3, d1 < d3),
-                _check(
-                    "d1 < d2, so d1 is no multiple of d2", d1, d2, d1 < d2
-                ),
-            ],
-        )
+    first = [
+        ("gcd(d2, d3) == 1", gcd(d2, d3), eq, 1),
+        ("d1 < (d2 - 1)*(d3 - 1), so q = 0", d1, lt, (d2 - 1) * (d3 - 1)),
+        ("d1 < d3, so r = 0", d1, lt, d3),
+        ("d1 < d2, so d1 is no multiple of d2", d1, lt, d2),
     ]
 
     # Second coordinate: G built from the degree-(d1, d3) pair; p = d/2.
-    exact_floor = ((d - 2) // 2) * (2 * k * (d + 1) + d) - d + 2
+    exact_floor = su_lower_bound(ReductionQuery(d1, d3, 1, 0))
     middle_floor = (d - 2) * k * (d + 1) + 2
     final_floor = k * (d + 1) + d + 2
-    reports.append(
-        CaseReport.from_checks(
-            "second",
-            [
-                _check("gcd(d1, d3) == 2", gcd(d1, d3), 2, gcd(d1, d3) == 2),
-                _check("p = d/2 >= 2", d // 2, 2, d // 2 >= 2),
-                _check(
-                    "exact q-coefficient >= (d-2)*k*(d+1) + 2",
-                    exact_floor,
-                    middle_floor,
-                    exact_floor >= middle_floor,
-                ),
-                _check(
-                    "(d-2)*k*(d+1) + 2 >= k*(d+1) + d + 2",
-                    middle_floor,
-                    final_floor,
-                    middle_floor >= final_floor,
-                ),
-                _check(
-                    "d2 < k*(d+1) + d + 2, so q = 0",
-                    d2,
-                    final_floor,
-                    d2 < final_floor,
-                ),
-                _check("d2 < d3, so r = 0", d2, d3, d2 < d3),
-                _check("gcd(d1, d2) == 1", gcd(d1, d2), 1, gcd(d1, d2) == 1),
-                _check(
-                    "1 < d1, so d2 is no multiple of d1", 1, d1, 1 < d1
-                ),
-            ],
-        )
-    )
+    second = [
+        ("gcd(d1, d3) == 2", gcd(d1, d3), eq, 2),
+        ("p = d/2 >= 2", d // 2, ge, 2),
+        ("exact q-coefficient >= (d-2)*k*(d+1) + 2",
+         exact_floor, ge, middle_floor),
+        ("(d-2)*k*(d+1) + 2 >= k*(d+1) + d + 2",
+         middle_floor, ge, final_floor),
+        ("d2 < k*(d+1) + d + 2, so q = 0", d2, lt, final_floor),
+        ("d2 < d3, so r = 0", d2, lt, d3),
+        ("gcd(d1, d2) == 1", gcd(d1, d2), eq, 1),
+        ("1 < d1, so d2 is no multiple of d1", 1, lt, d1),
+    ]
 
     # Third coordinate: G built from the degree-(d1, d2) pair; p = d.
-    exact_floor_3 = (d - 1) * d2 - d + 2
+    exact_floor_3 = su_lower_bound(ReductionQuery(d1, d2, 1, 0))
     floor_3 = 2 * k * (d + 1) + d + 2
-    reports.append(
-        CaseReport.from_checks(
-            "third",
-            [
-                _check("gcd(d1, d2) == 1", gcd(d1, d2), 1, gcd(d1, d2) == 1),
-                _check(
-                    "exact q-coefficient >= 2*k*(d+1) + d + 2",
-                    exact_floor_3,
-                    floor_3,
-                    exact_floor_3 >= floor_3,
-                ),
-                _check(
-                    "d3 < 2*k*(d+1) + d + 2, so q = 0",
-                    d3,
-                    floor_3,
-                    d3 < floor_3,
-                ),
-                _check("d3 < 2*d2, so r <= 1", d3, 2 * d2, d3 < 2 * d2),
-                _check(
-                    "r = 0 case: gcd(d3, d1) == 2",
-                    gcd(d3, d1),
-                    2,
-                    gcd(d3, d1) == 2,
-                ),
-                _check("r = 0 case: 2 < d1", 2, d1, 2 < d1),
-                _check(
-                    "r = 1 case: gcd(d3 - d2, d1) == 1",
-                    gcd(d3 - d2, d1),
-                    1,
-                    gcd(d3 - d2, d1) == 1,
-                ),
-                _check("r = 1 case: 1 < d1", 1, d1, 1 < d1),
-            ],
-        )
-    )
-    return reports
+    third = [
+        ("gcd(d1, d2) == 1", gcd(d1, d2), eq, 1),
+        ("exact q-coefficient >= 2*k*(d+1) + d + 2",
+         exact_floor_3, ge, floor_3),
+        ("d3 < 2*k*(d+1) + d + 2, so q = 0", d3, lt, floor_3),
+        ("d3 < 2*d2, so r <= 1", d3, lt, 2 * d2),
+        ("r = 0 case: gcd(d3, d1) == 2", gcd(d3, d1), eq, 2),
+        ("r = 0 case: 2 < d1", 2, lt, d1),
+        ("r = 1 case: gcd(d3 - d2, d1) == 1", gcd(d3 - d2, d1), eq, 1),
+        ("r = 1 case: 1 < d1", 1, lt, d1),
+    ]
+    return [
+        _case("first", first), _case("second", second), _case("third", third)
+    ]
 
 
 @dataclass(frozen=True)
@@ -294,7 +241,45 @@ def type_iii_check(triple: Tuple[int, int, int]) -> TypeThreeReport:
     )
 
 
+@dataclass(frozen=True)
+class ReductionAudit:
+    """The R7 audit of one family triple: all three cases and type III.
+
+    ``excluded`` holds when every case is ``reduction_impossible`` and the
+    type-III shape is excluded; then the triple is not a tame multidegree.
+    """
+
+    d: int
+    k: int
+    triple: Tuple[int, int, int]
+    cases: Tuple[CaseReport, ...]
+    type_iii: TypeThreeReport
+    excluded: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "d": self.d,
+            "k": self.k,
+            "triple": list(self.triple),
+            "cases": [case.to_dict() for case in self.cases],
+            "type_iii": self.type_iii.to_dict(),
+            "all_excluded": self.excluded,
+        }
+
+
+def reduction_audit(d: int, k: int) -> ReductionAudit:
+    """Elementary-reduction audit plus type-III check of ``family_triple(d, k)``."""
+    cases = tuple(no_elementary_reduction_check(d, k))
+    triple = family_triple(d, k)
+    type_iii = type_iii_check(triple)
+    excluded = type_iii.excluded and all(
+        case.conclusion == REDUCTION_IMPOSSIBLE for case in cases
+    )
+    return ReductionAudit(d, k, triple, cases, type_iii, excluded)
+
+
 def _validate_sorted_triple(triple) -> Tuple[int, int, int]:
+    """The triple as a tuple; ValueError unless it is three sorted positive ints."""
     values = tuple(triple)
     if len(values) != 3 or not all(
         isinstance(v, int) and not isinstance(v, bool) for v in values

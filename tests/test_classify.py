@@ -436,8 +436,11 @@ class TestDefaultFamily:
         assert {d: default_family(d) for d in expected} == expected
 
     def test_validation(self):
-        for bad in (2, 1, 0, -3, 3.0, True):
+        for bad in (2, 1, 0, -3):
             with pytest.raises(ValueError):
+                default_family(bad)
+        for bad in (3.0, True):
+            with pytest.raises(TypeError):
                 default_family(bad)
 
 
@@ -483,7 +486,7 @@ class TestEnumerateWild:
             enumerate_wild(2, 1)
         with pytest.raises(ValueError):
             enumerate_wild(5, -1)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             enumerate_wild(5, 1.0)
 
 

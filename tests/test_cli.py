@@ -8,6 +8,7 @@ and capture stdout/stderr via capsys; one smoke test exercises the
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +332,19 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])
         assert info.value.code == 3
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+
+@pytest.mark.parametrize(
+    "record",
+    json.loads(GOLDEN.read_text()),
+    ids=lambda record: " ".join(record["argv"]),
+)
+def test_golden_corpus(capsys, record):
+    """stdout and exit code of ``python -m wildmdeg ARGV`` as captured at
+    commit c7731b2, before the R7 audit, the family formula and the
+    validators were merged into one copy each.  stderr is not pinned."""
+    code, out, _ = run(capsys, *record["argv"])
+    assert (code, out) == (record["exit"], record["stdout"])

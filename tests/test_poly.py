@@ -26,7 +26,6 @@ from wildmdeg import (
     Polynomial,
     compose,
     inverse,
-    is_scaled_power,
     parse,
     wild_family,
 )
@@ -314,42 +313,6 @@ class TestParse:
 
     def test_parse_error_is_value_error(self):
         assert issubclass(ParseError, ValueError)
-
-
-class TestIsScaledPower:
-    def test_recognizes_scaled_powers(self):
-        assert is_scaled_power(QUADRIC**3 * 5, QUADRIC) == (5, 3)
-        assert is_scaled_power(X**2 * 4, X) == (4, 2)
-        assert is_scaled_power((2 * X) ** 2, X) == (4, 2)
-        assert is_scaled_power(-(QUADRIC**2), QUADRIC) == (-1, 2)
-        assert is_scaled_power(
-            QUADRIC * Fraction(1, 2), QUADRIC
-        ) == (Fraction(1, 2), 1)
-
-    def test_constants_are_zeroth_powers(self):
-        assert is_scaled_power(Polynomial.constant(7), QUADRIC) == (7, 0)
-
-    def test_scale_normalized_to_int_when_integral(self):
-        scale, power = is_scaled_power(X * 2, X)
-        assert (scale, power) == (2, 1)
-        assert isinstance(scale, int)
-
-    def test_rejections(self):
-        assert is_scaled_power(Y**4, QUADRIC) is None
-        assert is_scaled_power(X**3, X * X) is None
-        assert is_scaled_power(X, Polynomial.constant(2)) is None
-        assert is_scaled_power(QUADRIC**2 + X**4, QUADRIC) is None
-        assert is_scaled_power(X * Y, X) is None
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            is_scaled_power(ZERO, X)
-        with pytest.raises(ValueError):
-            is_scaled_power(X, ZERO)
-        with pytest.raises(ValueError):
-            is_scaled_power(X + 1, X)
-        with pytest.raises(ValueError):
-            is_scaled_power(X, X + 1)
 
 
 def _to_ring(poly, ring):

@@ -21,8 +21,10 @@ from wildmdeg import (
     InequalityCheck,
     ReductionQuery,
     bracket_degree,
+    family_triple,
     nagata,
     no_elementary_reduction_check,
+    reduction_audit,
     su_lower_bound,
     type_iii_check,
 )
@@ -238,3 +240,39 @@ class TestTypeThree:
             type_iii_check((1, 2))
         with pytest.raises(ValueError):
             type_iii_check((1, 2, "3"))
+
+
+class TestReductionAudit:
+    def test_family_triple(self):
+        assert family_triple(6, 1) == (6, 13, 20)
+        assert family_triple(4, 3) == (4, 19, 34)
+
+    def test_document_for_6_1(self):
+        audit = reduction_audit(6, 1)
+        assert audit.triple == (6, 13, 20)
+        assert audit.excluded is True
+        assert audit.to_dict() == {
+            "d": 6,
+            "k": 1,
+            "triple": [6, 13, 20],
+            "cases": [c.to_dict() for c in no_elementary_reduction_check(6, 1)],
+            "type_iii": type_iii_check((6, 13, 20)).to_dict(),
+            "all_excluded": True,
+        }
+
+    def test_exact_floors_are_su_lower_bounds(self):
+        for d, k in ((4, 1), (6, 1), (8, 3), (10, 7)):
+            d1, d2, d3 = family_triple(d, k)
+            _, second, third = reduction_audit(d, k).cases
+            assert second.checks[2].lhs == su_lower_bound(
+                ReductionQuery(d1, d3, 1, 0)
+            )
+            assert third.checks[1].lhs == su_lower_bound(
+                ReductionQuery(d1, d2, 1, 0)
+            )
+
+    def test_validation_is_the_checks(self):
+        with pytest.raises(ValueError):
+            reduction_audit(6, 3)
+        with pytest.raises(TypeError):
+            reduction_audit(6.0, 1)
