@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int
+from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int, _powers
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
 INVARIANT_QUADRIC = Y * Y + X * Z
@@ -113,8 +113,8 @@ class NagataShear:
     def applied_to(self, coords: Coords) -> Coords:
         u, v, w = coords
         quadric = v * v + u * w
-        q_k = quadric**self.power
-        q_2k = quadric ** (2 * self.power)
+        # one call, so that off the multinomial path q^2k is built from q^k
+        q_k, q_2k = _powers(quadric, [self.power, 2 * self.power])
         c = self.scale
         first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
         second = v + (w * q_k) * c

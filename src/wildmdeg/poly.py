@@ -3,7 +3,7 @@
 Polynomials are immutable value objects: every operation returns a new
 instance and no floating point is involved anywhere.  Coefficients are
 Python ints or :class:`fractions.Fraction` values, so arithmetic is exact
-at arbitrary size.
+at arbitrary size.  An integral coefficient is always stored as an int.
 
 A polynomial is stored as a mapping from exponent triples ``(ex, ey, ez)``
 to nonzero coefficients.  The zero polynomial is the empty mapping, and
@@ -29,19 +29,23 @@ exponent the result can reach, computed from the operands' maximum
 exponents, so no field ever carries into the next at any size.  Terms
 that cancel are pruned once, when a product is finished.  A product with
 a one-term factor, or a power of one, only shifts or scales exponents and
-skips the kernel.
+skips the kernel.  A square ``p * p`` of one object forms each unordered
+pair of terms once and doubles it, which halves its term products.
 
 Powers are computed by the cheapest exact method the base allows.  When
 the exponent vectors of the base are affinely independent (every
 monomial and binomial, and trinomials such as y^2 + x*z + x^4), each term
 of the multinomial expansion is a distinct monomial, so the expansion is
 written out directly and the work equals the output size.  Any other
-base is multiplied into the running power one factor at a time, which
-for the sparse, weighted-homogeneous coordinates of this package costs
-fewer term products than repeated squaring.
+base is raised by left-to-right binary powering.  Each doubling step
+either squares the power it has or multiplies by the base one factor at
+a time, whichever the term counts of the powers already built predict to
+be cheaper.  The coordinates of the wild maps collapse under powering
+(|A^j| grows like j^2), so they square at every step; a base with full
+3-D support (|A^j| like j^3) squares only while its powers are small.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
-occur in the polynomial.  For images on the repeated-multiplication path
+occur in the polynomial.  For images on the binary-powering path
 it keeps those powers in a private memo on the image itself, so a later
 substitution into the same (immutable) image reuses them instead of
 recomputing them.  The memo lives and dies with its polynomial and takes
@@ -152,34 +156,56 @@ class Polynomial:
     """Immutable sparse polynomial in x, y, z with exact coefficients."""
 
     # _powers: memo {exponent: Polynomial} kept by `substitute` on images
-    # that take the repeated-multiplication path (None until first used)
-    __slots__ = ("_terms", "_hash", "_powers")
+    # that take the binary-powering path (None until first used)
+    # _fractions: True exactly when some coefficient is a Fraction; integral
+    # coefficients are always stored as ints
+    __slots__ = ("_terms", "_hash", "_powers", "_fractions")
 
     def __init__(self, terms: Optional[Mapping[Term, Coeff]] = None):
         clean: dict = {}
+        fractions = False
         if terms:
             for term, coeff in terms.items():
                 term = _check_term(term)
                 coeff = _check_coeff(coeff)
                 if coeff:
                     clean[term] = coeff
+                    fractions = fractions or isinstance(coeff, Fraction)
         self._terms = clean
         self._hash = None
         self._powers = None
+        self._fractions = fractions
 
     @classmethod
-    def _raw(cls, terms: dict) -> "Polynomial":
-        # internal fast path: `terms` is already validated and zero-pruned
+    def _raw(cls, terms: dict, fractions: bool) -> "Polynomial":
+        """Internal fast path: ``terms`` is already validated and zero-pruned.
+
+        ``fractions`` says whether an operand that produced ``terms`` held a
+        Fraction.  Only then can a coefficient be one, so only then are the
+        terms scanned and integral Fractions turned into ints: int-only
+        arithmetic pays nothing per term for the normal form.
+        """
+        if fractions:
+            fractions = False
+            for term, coeff in terms.items():
+                if isinstance(coeff, Fraction):
+                    if coeff.denominator == 1:
+                        terms[term] = coeff.numerator
+                    else:
+                        fractions = True
         poly = object.__new__(cls)
         poly._terms = terms
         poly._hash = None
         poly._powers = None
+        poly._fractions = fractions
         return poly
 
     @classmethod
     def constant(cls, value: Coeff) -> "Polynomial":
         value = _check_coeff(value)
-        return cls._raw({(0, 0, 0): value} if value else {})
+        return cls._raw(
+            {(0, 0, 0): value} if value else {}, isinstance(value, Fraction)
+        )
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -187,7 +213,7 @@ class Polynomial:
             raise ValueError(f"unknown variable {name!r}; expected one of x, y, z")
         exponents = [0, 0, 0]
         exponents[_VAR_INDEX[name]] = 1
-        return cls._raw({tuple(exponents): 1})
+        return cls._raw({tuple(exponents): 1}, False)
 
     # -- structure -----------------------------------------------------
 
@@ -219,9 +245,7 @@ class Polynomial:
         return len(degrees) <= 1
 
     def has_integer_coefficients(self) -> bool:
-        return all(
-            isinstance(c, int) or c.denominator == 1 for c in self._terms.values()
-        )
+        return not self._fractions
 
     def top_form(self) -> "Polynomial":
         """Sum of the terms of maximal total degree.  Raises on zero."""
@@ -229,7 +253,8 @@ class Polynomial:
             raise ValueError("the zero polynomial has no top form")
         degree = self.total_degree()
         return Polynomial._raw(
-            {t: c for t, c in self._terms.items() if t[0] + t[1] + t[2] == degree}
+            {t: c for t, c in self._terms.items() if t[0] + t[1] + t[2] == degree},
+            self._fractions,
         )
 
     def partial(self, variable: str) -> "Polynomial":
@@ -244,12 +269,14 @@ class Polynomial:
                 lowered = list(term)
                 lowered[index] = e - 1
                 out[tuple(lowered)] = coeff * e
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, self._fractions)
 
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({t: -c for t, c in self._terms.items()})
+        return Polynomial._raw(
+            {t: -c for t, c in self._terms.items()}, self._fractions
+        )
 
     def __add__(self, other: object) -> "Polynomial":
         rhs = _coerce(other)
@@ -262,7 +289,7 @@ class Polynomial:
                 out[term] = value
             else:
                 out.pop(term, None)
-        return Polynomial._raw(out)
+        return Polynomial._raw(out, self._fractions or rhs._fractions)
 
     __radd__ = __add__
 
@@ -287,17 +314,24 @@ class Polynomial:
                 return _shifted(self, other)
             if len(self._terms) == 1:
                 return _shifted(other, self)
-            width = (_max_exponent(self) + _max_exponent(other)).bit_length()
             out: dict = {}
-            _accumulate(out, _pack(self, width), _pack(other, width))
-            return _unpack(out.items(), width)
+            if other is self:
+                width = (2 * _max_exponent(self)).bit_length()
+                _accumulate_square(out, _pack(self, width))
+            else:
+                width = (_max_exponent(self) + _max_exponent(other)).bit_length()
+                _accumulate(out, _pack(self, width), _pack(other, width))
+            return _unpack(out.items(), width, self._fractions or other._fractions)
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
             scalar = _check_coeff(other)
             if not scalar:
                 return ZERO
-            return Polynomial._raw({t: c * scalar for t, c in self._terms.items()})
+            return Polynomial._raw(
+                {t: c * scalar for t, c in self._terms.items()},
+                self._fractions or isinstance(scalar, Fraction),
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -314,10 +348,10 @@ class Polynomial:
         if len(self._terms) == 1:
             (((e0, e1, e2), c),) = self._terms.items()
             n = exponent
-            return Polynomial._raw({(e0 * n, e1 * n, e2 * n): c**n})
-        width = (exponent * _max_exponent(self)).bit_length()
-        power = _packed_powers(self, [exponent], width, remember=False)
-        return _unpack(power[exponent], width)
+            return Polynomial._raw(
+                {(e0 * n, e1 * n, e2 * n): c**n}, self._fractions
+            )
+        return _powers(self, [exponent])[0]
 
     def substitute(
         self,
@@ -349,7 +383,8 @@ class Polynomial:
                 _accumulate(partial, head, factor)
                 head = _pruned(partial)
             _accumulate(out, head, factors[-1])
-        return _unpack(out.items(), width)
+        fractions = self._fractions or any(img._fractions for img in images)
+        return _unpack(out.items(), width, fractions)
 
     # -- identity ---------------------------------------------------------
 
@@ -415,12 +450,18 @@ def _pack(poly: Polynomial, width: int) -> PackedTerms:
     ]
 
 
-def _unpack(items: Iterable[Tuple[int, Coeff]], width: int) -> Polynomial:
-    """Polynomial of packed terms, dropping the terms that cancelled."""
+def _unpack(
+    items: Iterable[Tuple[int, Coeff]], width: int, fractions: bool
+) -> Polynomial:
+    """Polynomial of packed terms, dropping the terms that cancelled.
+
+    ``fractions`` says whether an operand held a Fraction (see ``_raw``).
+    """
     shift = 2 * width
     mask = (1 << width) - 1
     return Polynomial._raw(
-        {(k >> shift, (k >> width) & mask, k & mask): c for k, c in items if c}
+        {(k >> shift, (k >> width) & mask, k & mask): c for k, c in items if c},
+        fractions,
     )
 
 
@@ -428,7 +469,8 @@ def _shifted(poly: Polynomial, monomial: Polynomial) -> Polynomial:
     """``poly`` times a one-term polynomial; no two terms merge or cancel."""
     (((m0, m1, m2), c),) = monomial._terms.items()
     return Polynomial._raw(
-        {(e0 + m0, e1 + m1, e2 + m2): v * c for (e0, e1, e2), v in poly._terms.items()}
+        {(e0 + m0, e1 + m1, e2 + m2): v * c for (e0, e1, e2), v in poly._terms.items()},
+        poly._fractions or monomial._fractions,
     )
 
 
@@ -446,6 +488,22 @@ def _accumulate(out: dict, a: PackedTerms, b: PackedTerms) -> None:
     get = out.get
     for ka, ca in a:
         for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
+def _accumulate_square(out: dict, a: PackedTerms) -> None:
+    """Add the square of ``a`` into ``out``, like ``_accumulate(out, a, a)``.
+
+    Each unordered pair of distinct terms is formed once, with its
+    coefficient doubled: n(n+1)/2 term products instead of n^2.
+    """
+    get = out.get
+    for i, (ka, ca) in enumerate(a):
+        k = ka + ka
+        out[k] = get(k, 0) + ca * ca
+        ca += ca
+        for kb, cb in a[i + 1 :]:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
 
@@ -520,9 +578,9 @@ def _packed_powers(
     """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
 
     Affinely independent bases expand by the multinomial theorem.  Other
-    bases are multiplied up one factor at a time; with ``remember`` the
-    requested powers are also kept in the memo ``base._powers`` and read
-    back from it on later calls.  ``width`` must hold every exponent of
+    bases are raised by ``_raise``; with ``remember`` the requested powers
+    are also kept in the memo ``base._powers`` and read back from it on
+    later calls.  ``width`` must hold every exponent of
     ``base**max(exponents)``.
     """
     if not base._terms:
@@ -531,22 +589,66 @@ def _packed_powers(
     if _affinely_independent(base._terms):
         return {e: _multinomial(step, e) for e in exponents}
     memo = base._powers if remember else None
+    known = {1: step}
     found = {}
-    power, current = 1, step
     for e in exponents:
         cached = memo.get(e) if memo else None
         if cached is not None:
-            power, current = e, _pack(cached, width)
-        while power < e:
-            out: dict = {}
-            _accumulate(out, current, step)
-            power, current = power + 1, _pruned(out)
-        found[e] = current
+            known[e] = _pack(cached, width)
+        found[e] = _raise(known, e)
         if remember and e > 1 and cached is None:
             if memo is None:
                 memo = base._powers = {}
-            memo[e] = _unpack(current, width)
+            memo[e] = _unpack(found[e], width, base._fractions)
     return found
+
+
+def _raise(known: dict, e: int) -> PackedTerms:
+    """Packed A^e, given ``known``: {j: packed A^j} holding at least A^1.
+
+    Left-to-right binary powering.  From the longest known prefix m of
+    e's bits, each next prefix 2m or 2m + 1 is reached by squaring A^m,
+    at |A^m|(|A^m|+1)/2 term products, or by multiplying by A one step at
+    a time from the largest known power p <= 2m, at |A|*|A^j| for each
+    j = p .. 2m-1.  Those |A^j| are estimated on the line through the two
+    largest known powers, which underestimates their convex growth, and
+    the square is taken only when it is cheaper than that estimate.
+    Every power formed is added to ``known``.
+    """
+    shift = 0
+    while e >> shift not in known:
+        shift += 1
+    size = len(known[1])
+    while shift:
+        shift -= 1
+        m, target = e >> (shift + 1), e >> shift
+        p = max(j for j in known if j <= 2 * m)
+        if p < 2 * m:
+            steps, last = 2 * m - p, len(known[p])
+            chain = steps * last
+            if p > 1:
+                q = max(j for j in known if j < p)
+                chain += (last - len(known[q])) * steps * (steps - 1) // (2 * (p - q))
+            half = len(known[m])
+            if half * (half + 1) // 2 < size * chain:
+                out: dict = {}
+                _accumulate_square(out, known[m])
+                p = 2 * m
+                known[p] = _pruned(out)
+        while p < target:
+            out = {}
+            _accumulate(out, known[p], known[1])
+            p += 1
+            known[p] = _pruned(out)
+    return known[e]
+
+
+def _powers(base: Polynomial, exponents: List[int]) -> List[Polynomial]:
+    """``[base**e for e in exponents]``, ascending and positive, in one pass:
+    the larger powers are built from the smaller ones."""
+    width = (exponents[-1] * _max_exponent(base)).bit_length()
+    table = _packed_powers(base, exponents, width, remember=False)
+    return [_unpack(table[e], width, base._fractions) for e in exponents]
 
 
 def _render_term(coeff: Coeff, term: Term) -> str:

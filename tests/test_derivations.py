@@ -108,6 +108,11 @@ class TestNagataExp:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_closed_form(self, k):
         assert nagata_exp(k).coords == nagata(k).coords
+        # coefficient types too: the 1/i! bookkeeping leaves ints, not Fraction(n, 1)
+        for got, closed in zip(nagata_exp(k).coords, nagata(k).coords):
+            assert {t: type(c) for t, c in got.terms().items()} == {
+                t: type(c) for t, c in closed.terms().items()
+            }
 
     def test_integer_coefficients(self):
         for coord in nagata_exp(2).coords:

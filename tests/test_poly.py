@@ -168,6 +168,32 @@ class TestArithmetic:
         _ = -p
         assert p.terms() == before
 
+    def test_integral_coefficients_are_stored_as_ints(self):
+        half = Fraction(1, 2)
+        square = {(2, 0, 0): Fraction(1, 4), (1, 1, 0): 1, (0, 2, 0): 1}
+        cases = [
+            # scalar branch, one-term factor, kernel product
+            (X * half * 2, {(1, 0, 0): 1}),
+            ((half * X + half * Y) * (2 * Z), {(1, 0, 1): 1, (0, 1, 1): 1}),
+            (
+                (half * X + Y) * (2 * X + 4 * Y),
+                {(2, 0, 0): 1, (1, 1, 0): 4, (0, 2, 0): 4},
+            ),
+            # symmetric square and multinomial power: 2 * (1/2) is an int
+            ((half * X + Y) * (half * X + Y), square),
+            ((half * X + Y) ** 2, square),
+            # sum, derivative, substitution
+            (half * X + half * X, {(1, 0, 0): 1}),
+            ((half * X**2).partial("x"), {(1, 0, 0): 1}),
+            ((X * Y).substitute(half * X, 2 * Y, Z), {(1, 1, 0): 1}),
+        ]
+        for poly, expected in cases:
+            typed = {t: (type(c), c) for t, c in poly.terms().items()}
+            assert typed == {t: (type(c), c) for t, c in expected.items()}
+            assert poly.has_integer_coefficients() == all(
+                isinstance(c, int) for c in expected.values()
+            )
+
     def test_cancellation_prunes_terms(self):
         assert (X + Y) - (Y + X) == ZERO
         assert len((X + Y) * (X - Y)) == 2
@@ -346,7 +372,7 @@ class TestSympyOracle:
         3 * X - Fraction(1, 2) * Y * Z + Z**2 + 1,
         X + Y + X * Y,
     ]
-    # affinely dependent: repeated multiplication by the base
+    # affinely dependent: binary powering, squaring or multiplying by the base
     DEPENDENT = [
         1 + X + X**2,
         X + Y + X * Y + 1,
@@ -365,6 +391,38 @@ class TestSympyOracle:
     def test_powers_on_both_paths(self, ring, base):
         for n in (0, 1, 2, 3, 5, 8):
             assert _to_ring(base**n, ring) == _to_ring(base, ring) ** n
+
+    def test_squares_of_the_same_object(self, ring):
+        # p * p takes the symmetric-square kernel
+        rng = Random(SEED + 4)
+        bases = [
+            random_nonzero_poly(rng, max_terms=10, fractions=True)
+            for _ in range(60)
+        ]
+        one_term = [3 * X**2 * Y, Fraction(-2, 3) * Z**5]
+        # x^2 cancels in the first square, x^2*y^2 in the second
+        cancelling = [1 + X - Fraction(1, 2) * X**2, X**2 + 2 * X * Y - 2 * Y**2]
+        for p in bases + one_term + cancelling:
+            assert _to_ring(p * p, ring) == _to_ring(p, ring) ** 2
+        cancelled = [(2, 0, 0), (2, 2, 0)]
+        assert [(p * p).coefficient(t) for p, t in zip(cancelling, cancelled)] == [0, 0]
+
+    @pytest.mark.parametrize("base", DEPENDENT, ids=str)
+    def test_dependent_powers_for_every_exponent_to_12(self, ring, base):
+        # every square/multiply pattern of the binary powering, through
+        # ** and through substitution into a memo-free copy of the base
+        expected = {1: _to_ring(base, ring)}
+        for n in range(2, 13):
+            expected[n] = expected[n - 1] * expected[1]
+            assert _to_ring(base**n, ring) == expected[n]
+            image = Polynomial(base.terms())
+            assert _to_ring((X**n).substitute(image, Y, Z), ring) == expected[n]
+        # all the powers in one substitution, each built from the smaller ones
+        image = Polynomial(base.terms())
+        poly = Polynomial({(n, 0, 0): n for n in range(2, 13)})
+        assert _to_ring(poly.substitute(image, Y, Z), ring) == sum(
+            n * expected[n] for n in range(2, 13)
+        )
 
     def test_powers_of_random_polynomials(self, ring):
         rng = Random(SEED + 1)
