@@ -88,9 +88,6 @@ from .classify import (
     Family,
     FamilyParams,
     NonMembershipTrace,
-    ProofStep,
-    ReductionCertificate,
-    SemigroupCertificate,
     SemigroupWitness,
     TameStatus,
     WildFamilyCertificate,
@@ -169,9 +166,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "NonMembershipTrace",
-    "ProofStep",
-    "ReductionCertificate",
-    "SemigroupCertificate",
     "SemigroupWitness",
     "TameStatus",
     "WildFamilyCertificate",

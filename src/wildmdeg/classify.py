@@ -4,13 +4,15 @@ Given a sorted triple ``1 <= d1 <= d2 <= d3`` that occurs as the
 multidegree of a polynomial automorphism of 3-space, :func:`classify_tame`
 decides whether some *tame* automorphism realizes the same triple.  Every
 verdict ships a machine-checkable certificate: an explicit tame witness
-map, a semigroup identity, an inequality audit excluding elementary
-reductions, or — where the verdict rests on a known characterization that
-yields no small witness — a citation record stating the fact used.
+map, a semigroup identity (:class:`SemigroupWitness`), an inequality
+audit excluding elementary reductions (``ReductionAudit``), or — where the
+verdict rests on a known characterization that yields no small witness —
+a citation record stating the fact used.
 
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
-them, drawn from four parametric families.
+them, drawn from four parametric families; the odd families' certificates
+carry a :class:`NonMembershipTrace` of the same check rows as that audit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd
+from operator import eq, gt, ne
 from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 
 from .maps import (
@@ -31,8 +34,9 @@ from .maps import (
 )
 from .poly import X, _check_int
 from .reduction import (
-    CaseReport,
-    TypeThreeReport,
+    InequalityCheck,
+    ReductionAudit,
+    _checks,
     _validate_sorted_triple,
     family_triple,
     reduction_audit,
@@ -57,10 +61,14 @@ class Family(str, Enum):
 
 
 class SemigroupWitness(NamedTuple):
-    """Exponents with a*d1 + b*d2 = d3."""
+    """Exponents with a*d1 + b*d2 = d3; the certificate of rule R8."""
 
     a: int
     b: int
+    kind = "semigroup_witness"
+
+    def data_dict(self) -> dict:
+        return {"a": self.a, "b": self.b}
 
 
 def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
@@ -76,32 +84,16 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
 
 
 @dataclass(frozen=True)
-class ProofStep:
-    """One checked numeric fact; the concrete numbers live in the statement."""
-
-    statement: str
-    holds: bool
-
-    def to_dict(self) -> dict:
-        return {"statement": self.statement, "holds": self.holds}
-
-
-@dataclass(frozen=True)
 class NonMembershipTrace:
-    """Checked argument that ``target`` is not in the semigroup <g1, g2>."""
+    """Checked argument that ``target`` is not in <g1, g2>; valid if all steps hold."""
 
     generators: Tuple[int, int]
     target: int
-    steps: Tuple[ProofStep, ...]
-    valid: bool
+    steps: Tuple[InequalityCheck, ...]
 
-    @classmethod
-    def from_steps(
-        cls, generators: Tuple[int, int], target: int, steps: List[ProofStep]
-    ) -> "NonMembershipTrace":
-        return cls(
-            generators, target, tuple(steps), all(s.holds for s in steps)
-        )
+    @property
+    def valid(self) -> bool:
+        return all(s.holds for s in self.steps)
 
     def to_dict(self) -> dict:
         return {
@@ -128,46 +120,32 @@ def _progression_exclusion(
     if gcd(d1, k) != 1:
         raise ValueError(f"need gcd(r, k) = 1, got gcd = {gcd(d1, k)}")
     step = d3 - d2
-    steps = [
-        ProofStep(
-            f"gcd({d1}, {d2}) == gcd({d1}, {step})",
-            gcd(d1, d2) == gcd(d1, step),
-        ),
-        ProofStep(
-            f"gcd({d1}, {step}) == gcd({d1}, {k}) since {reason}",
-            gcd(d1, step) == gcd(d1, k),
-        ),
-        ProofStep(f"gcd({d1}, {k}) == 1", gcd(d1, k) == 1),
-        ProofStep(
-            f"2*{d2} > {d3}: any a*{d1} + b*{d2} = {d3} has b <= 1",
-            2 * d2 > d3,
-        ),
-        ProofStep(
-            f"b = 1 needs {d1} | {step}, but {step} mod {d1} ="
-            f" {step % d1} != 0",
-            step % d1 != 0,
-        ),
-        ProofStep(
-            f"b = 0 needs {d1} | {d3}, but {d3} mod {d1} = {d3 % d1} != 0",
-            d3 % d1 != 0,
-        ),
-        ProofStep(
-            "exhaustive scan finds no representation",
-            semigroup_member(d1, d2, d3) is None,
-        ),
-    ]
-    return NonMembershipTrace.from_steps((d1, d2), d3, steps)
+    found = semigroup_member(d1, d2, d3)
+    steps = _checks([
+        ("gcd(d1, d2) == gcd(d1, d3 - d2)", gcd(d1, d2), eq, gcd(d1, step)),
+        (f"gcd(d1, d3 - d2) == gcd(d1, k) since {reason}",
+         gcd(d1, step), eq, gcd(d1, k)),
+        ("gcd(d1, k) == 1", gcd(d1, k), eq, 1),
+        ("2*d2 > d3, so any a*d1 + b*d2 = d3 has b <= 1", 2 * d2, gt, d3),
+        ("(d3 - d2) mod d1 != 0, so b = 1 fails", step % d1, ne, 0),
+        ("d3 mod d1 != 0, so b = 0 fails", d3 % d1, ne, 0),
+        ("representations a*d1 + b*d2 of d3 found by the scan == 0",
+         0 if found is None else 1, eq, 0),
+    ])
+    return NonMembershipTrace((d1, d2), d3, steps)
 
 
 def short_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
     """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
-    return _progression_exclusion((r, r + 2 * k, r + 4 * k), k, f"{r} is odd")
+    return _progression_exclusion(
+        (r, r + 2 * k, r + 4 * k), k, "d3 - d2 = 2*k and d1 is odd"
+    )
 
 
 def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
     """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
     return _progression_exclusion(
-        family_triple(r, k), k, f"gcd({r}, {r + 1}) = 1"
+        family_triple(r, k), k, "d3 - d2 = k*(d1 + 1) and gcd(d1, d1 + 1) = 1"
     )
 
 
@@ -183,18 +161,6 @@ class WitnessCertificate:
 
 
 @dataclass(frozen=True)
-class SemigroupCertificate:
-    """Exponents a, b with a*d1 + b*d2 = d3, yielding a triangular witness."""
-
-    kind: ClassVar[str] = "semigroup_witness"
-    a: int
-    b: int
-
-    def data_dict(self) -> dict:
-        return {"a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
 class CitationCertificate:
     """Verdict by a known characterization; the fact used is spelled out."""
 
@@ -203,25 +169,6 @@ class CitationCertificate:
 
     def data_dict(self) -> dict:
         return {"statement": self.statement}
-
-
-@dataclass(frozen=True)
-class ReductionCertificate:
-    """Inequality audit excluding every elementary reduction, plus type III."""
-
-    kind: ClassVar[str] = "reduction_exclusion"
-    d: int
-    k: int
-    cases: Tuple[CaseReport, ...]
-    type_iii: TypeThreeReport
-
-    def data_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "cases": [c.to_dict() for c in self.cases],
-            "type_iii": self.type_iii.to_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -247,9 +194,9 @@ class WildFamilyCertificate:
 
 Certificate = Union[
     WitnessCertificate,
-    SemigroupCertificate,
+    SemigroupWitness,
     CitationCertificate,
-    ReductionCertificate,
+    ReductionAudit,
     WildFamilyCertificate,
 ]
 
@@ -324,7 +271,7 @@ def classify_tame(triple) -> Classification:
             triple,
             TameStatus.TAME,
             "R8",
-            SemigroupCertificate(member.a, member.b),
+            member,
             witness,
         )
 
@@ -398,12 +345,7 @@ def classify_tame(triple) -> Classification:
     ):
         audit = reduction_audit(d1, k)
         if audit.excluded:
-            return Classification(
-                triple,
-                TameStatus.NOT_TAME,
-                "R7",
-                ReductionCertificate(d1, k, audit.cases, audit.type_iii),
-            )
+            return Classification(triple, TameStatus.NOT_TAME, "R7", audit)
 
     return Classification(triple, TameStatus.UNKNOWN, None, None)
 

@@ -66,6 +66,8 @@ class Triangular:
     def __post_init__(self):
         if self.variable not in _VAR_INDEX:
             raise ValueError(f"unknown variable {self.variable!r}")
+        if not isinstance(self.shift, Polynomial):
+            raise TypeError(f"shift must be a Polynomial, got {self.shift!r}")
         index = _VAR_INDEX[self.variable]
         if any(term[index] for term in self.shift.terms()):
             raise ValueError(

@@ -12,8 +12,11 @@ audits every inequality and gcd fact needed to exclude an elementary
 reduction of each coordinate, taking the q >= 1 degree floors from
 :func:`su_lower_bound`, and separately checks the parity/ratio
 conditions that exclude the delicate type-III reduction shape.
-:func:`reduction_audit` combines the two; when both exclude, they
-certify non-tameness of the triple (rule R7 of the classifier).
+:func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
+when both exclude, that audit is itself the certificate of non-tameness
+(rule R7 of the classifier).
+Every fact is an :class:`InequalityCheck` row, re-checkable from its JSON
+alone, and every verdict is computed from its rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from operator import eq, ge, lt
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 from .poly import Degree, MINUS_INFINITY, Polynomial, _check_int
 
@@ -89,7 +92,8 @@ def su_lower_bound(query: ReductionQuery) -> int:
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One named numeric fact; the relation is spelled out in ``name``."""
+    """One named numeric fact, the check row of every certificate: ``holds``
+    is the first `` == | != | >= | <= | < | > `` of ``name`` on lhs, rhs."""
 
     name: str
     lhs: int
@@ -107,22 +111,16 @@ class InequalityCheck:
 
 @dataclass(frozen=True)
 class CaseReport:
-    """Audit of one coordinate's elementary-reduction case analysis."""
+    """One coordinate's elementary-reduction audit; concluded from its checks."""
 
     coordinate: str
     checks: Tuple[InequalityCheck, ...]
-    conclusion: str
 
-    @classmethod
-    def from_checks(
-        cls, coordinate: str, checks: List[InequalityCheck]
-    ) -> "CaseReport":
-        verdict = (
-            REDUCTION_IMPOSSIBLE
-            if all(c.holds for c in checks)
-            else INCONCLUSIVE
-        )
-        return cls(coordinate, tuple(checks), verdict)
+    @property
+    def conclusion(self) -> str:
+        if all(c.holds for c in self.checks):
+            return REDUCTION_IMPOSSIBLE
+        return INCONCLUSIVE
 
     def to_dict(self) -> dict:
         return {
@@ -137,10 +135,11 @@ def family_triple(d: int, k: int) -> Tuple[int, int, int]:
     return (d, d + k * (d + 1), d + 2 * k * (d + 1))
 
 
-def _case(coordinate: str, rows) -> CaseReport:
-    """Report from ``(name, lhs, relation, rhs)`` rows; holds = relation(lhs, rhs)."""
-    checks = [InequalityCheck(n, lhs, rhs, rel(lhs, rhs)) for n, lhs, rel, rhs in rows]
-    return CaseReport.from_checks(coordinate, checks)
+def _checks(rows) -> Tuple[InequalityCheck, ...]:
+    """Checks from ``(name, lhs, relation, rhs)`` rows; holds = relation(lhs, rhs)."""
+    return tuple(
+        InequalityCheck(n, lhs, rhs, rel(lhs, rhs)) for n, lhs, rel, rhs in rows
+    )
 
 
 def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
@@ -204,7 +203,9 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
         ("r = 1 case: 1 < d1", 1, lt, d1),
     ]
     return [
-        _case("first", first), _case("second", second), _case("third", third)
+        CaseReport("first", _checks(first)),
+        CaseReport("second", _checks(second)),
+        CaseReport("third", _checks(third)),
     ]
 
 
@@ -220,7 +221,10 @@ class TypeThreeReport:
     triple: Tuple[int, int, int]
     condition1: bool
     condition2: bool
-    excluded: bool
+
+    @property
+    def excluded(self) -> bool:
+        return not (self.condition1 and self.condition2)
 
     def to_dict(self) -> dict:
         return {
@@ -234,10 +238,8 @@ class TypeThreeReport:
 def type_iii_check(triple: Tuple[int, int, int]) -> TypeThreeReport:
     """Evaluate the type-III necessary conditions on a sorted degree triple."""
     d1, d2, d3 = _validate_sorted_triple(triple)
-    condition1 = d2 % 2 == 0
-    condition2 = (d1 % 3 == 0) or (2 * d3 == 3 * d2)
     return TypeThreeReport(
-        (d1, d2, d3), condition1, condition2, not (condition1 and condition2)
+        (d1, d2, d3), d2 % 2 == 0, (d1 % 3 == 0) or (2 * d3 == 3 * d2)
     )
 
 
@@ -246,36 +248,43 @@ class ReductionAudit:
     """The R7 audit of one family triple: all three cases and type III.
 
     ``excluded`` holds when every case is ``reduction_impossible`` and the
-    type-III shape is excluded; then the triple is not a tame multidegree.
+    type-III shape is excluded; then the triple is not a tame multidegree,
+    and the audit is the classifier's ``reduction_exclusion`` certificate.
     """
 
+    kind: ClassVar[str] = "reduction_exclusion"
     d: int
     k: int
-    triple: Tuple[int, int, int]
     cases: Tuple[CaseReport, ...]
     type_iii: TypeThreeReport
-    excluded: bool
 
-    def to_dict(self) -> dict:
+    @property
+    def triple(self) -> Tuple[int, int, int]:
+        return family_triple(self.d, self.k)
+
+    @property
+    def excluded(self) -> bool:
+        return self.type_iii.excluded and all(
+            case.conclusion == REDUCTION_IMPOSSIBLE for case in self.cases
+        )
+
+    def data_dict(self) -> dict:
         return {
             "d": self.d,
             "k": self.k,
-            "triple": list(self.triple),
             "cases": [case.to_dict() for case in self.cases],
             "type_iii": self.type_iii.to_dict(),
-            "all_excluded": self.excluded,
         }
+
+    def to_dict(self) -> dict:
+        triple, excluded = list(self.triple), self.excluded
+        return {**self.data_dict(), "triple": triple, "all_excluded": excluded}
 
 
 def reduction_audit(d: int, k: int) -> ReductionAudit:
     """Elementary-reduction audit plus type-III check of ``family_triple(d, k)``."""
     cases = tuple(no_elementary_reduction_check(d, k))
-    triple = family_triple(d, k)
-    type_iii = type_iii_check(triple)
-    excluded = type_iii.excluded and all(
-        case.conclusion == REDUCTION_IMPOSSIBLE for case in cases
-    )
-    return ReductionAudit(d, k, triple, cases, type_iii, excluded)
+    return ReductionAudit(d, k, cases, type_iii_check(family_triple(d, k)))
 
 
 def _validate_sorted_triple(triple) -> Tuple[int, int, int]:

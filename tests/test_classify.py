@@ -16,10 +16,9 @@ from wildmdeg import (
     CitationCertificate,
     Family,
     FamilyParams,
+    InequalityCheck,
     NonMembershipTrace,
-    ProofStep,
-    ReductionCertificate,
-    SemigroupCertificate,
+    ReductionAudit,
     SemigroupWitness,
     TameStatus,
     WildFamilyCertificate,
@@ -29,6 +28,7 @@ from wildmdeg import (
     enumerate_wild,
     long_progression_exclusion,
     multidegree,
+    reduction_audit,
     semigroup_member,
     short_progression_exclusion,
     wild_family,
@@ -101,7 +101,7 @@ class TestExclusionTraces:
         assert trace.generators == (5, 7)
         assert trace.target == 9
         assert len(trace.steps) == 7
-        assert all(isinstance(s, ProofStep) for s in trace.steps)
+        assert all(isinstance(s, InequalityCheck) for s in trace.steps)
         assert all(s.holds for s in trace.steps)
         assert trace.valid
 
@@ -132,8 +132,12 @@ class TestExclusionTraces:
         assert trace.target == r + 2 * step
 
     def test_statements_carry_concrete_numbers(self):
+        # (5, 7, 9): gcd(5, 7) = gcd(5, 2) = 1, 2*7 = 14 > 9, 2 mod 5, 9 mod 5
         trace = short_progression_exclusion(5, 1)
-        assert "gcd(5, 7)" in trace.steps[0].statement
+        assert [(s.lhs, s.rhs) for s in trace.steps] == [
+            (1, 1), (1, 1), (1, 1), (14, 9), (2, 0), (4, 0), (0, 0)
+        ]
+        assert trace.steps[0].name == "gcd(d1, d2) == gcd(d1, d3 - d2)"
 
     def test_to_dict(self):
         document = long_progression_exclusion(3, 1).to_dict()
@@ -141,16 +145,22 @@ class TestExclusionTraces:
         assert document["target"] == 11
         assert document["valid"] is True
         assert all(
-            set(step) == {"statement", "holds"}
+            set(step) == {"name", "lhs", "rhs", "holds"}
             for step in document["steps"]
         )
         json.dumps(document)  # must be serializable as-is
 
     def test_from_steps_flags_failures(self):
-        trace = NonMembershipTrace.from_steps(
-            (3, 7), 11, [ProofStep("ok", True), ProofStep("bad", False)]
+        trace = NonMembershipTrace(
+            (3, 7),
+            11,
+            (
+                InequalityCheck("1 < 2", 1, 2, True),
+                InequalityCheck("2 < 1", 2, 1, False),
+            ),
         )
         assert trace.valid is False
+        assert trace.to_dict()["valid"] is False
 
     @pytest.mark.parametrize(
         "func", [short_progression_exclusion, long_progression_exclusion]
@@ -224,8 +234,11 @@ class TestClassifyTame:
     def test_r8_certificate_identity(self):
         result = classify_tame((2, 3, 5))
         certificate = result.certificate
-        assert isinstance(certificate, SemigroupCertificate)
+        assert isinstance(certificate, SemigroupWitness)
+        assert certificate == semigroup_member(2, 3, 5)
         assert certificate.a * 2 + certificate.b * 3 == 5
+        assert certificate.kind == "semigroup_witness"
+        assert SemigroupWitness._fields == ("a", "b")
         assert sorted(multidegree(result.realization)) == [2, 3, 5]
 
     def test_citations_have_statements_and_no_realization(self):
@@ -238,8 +251,10 @@ class TestClassifyTame:
     def test_r7_certificate_contents(self):
         result = classify_tame((6, 13, 20))
         certificate = result.certificate
-        assert isinstance(certificate, ReductionCertificate)
+        assert isinstance(certificate, ReductionAudit)
+        assert certificate == reduction_audit(6, 1)
         assert (certificate.d, certificate.k) == (6, 1)
+        assert set(certificate.data_dict()) == {"d", "k", "cases", "type_iii"}
         assert [c.coordinate for c in certificate.cases] == [
             "first",
             "second",

@@ -6,6 +6,8 @@ and capture stdout/stderr via capsys; one smoke test exercises the
 """
 
 import json
+import operator
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -345,6 +347,72 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 def test_golden_corpus(capsys, record):
     """stdout and exit code of ``python -m wildmdeg ARGV`` as captured at
     commit c7731b2, before the R7 audit, the family formula and the
-    validators were merged into one copy each.  stderr is not pinned."""
+    validators were merged into one copy each.  The two ``wild-enum
+    --format json`` entries for d = 3 and d = 5 were recaptured when the
+    non-membership steps became name/lhs/rhs/holds rows; nothing outside
+    their ``exclusion.steps`` changed.  stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
+
+
+_RELATION = re.compile(r" (==|!=|>=|<=|<|>) ")
+_COMPARE = {
+    "==": operator.eq, "!=": operator.ne, ">=": operator.ge,
+    "<=": operator.le, "<": operator.lt, ">": operator.gt,
+}
+
+
+def _recheck(node, rows):
+    """Recompute every row's ``holds`` and every verdict from its rows.
+
+    Appends each check row found under ``node`` to ``rows``.  Uses only the
+    document: the first relation token of a row's name, applied to its lhs
+    and rhs, must give its ``holds``.
+    """
+    if isinstance(node, list):
+        for item in node:
+            _recheck(item, rows)
+        return
+    if not isinstance(node, dict):
+        return
+    if "holds" in node:
+        match = _RELATION.search(node["name"])
+        assert match, node["name"]
+        assert isinstance(node["lhs"], int) and isinstance(node["rhs"], int)
+        assert _COMPARE[match[1]](node["lhs"], node["rhs"]) is node["holds"]
+        rows.append(node)
+        return
+    for value in node.values():
+        _recheck(value, rows)
+    if "valid" in node:
+        assert node["valid"] is all(s["holds"] for s in node["steps"])
+    if "conclusion" in node:
+        holds = all(c["holds"] for c in node["checks"])
+        assert node["conclusion"] == (
+            "reduction_impossible" if holds else "inconclusive"
+        )
+    if "condition1" in node:
+        assert node["excluded"] is not (node["condition1"] and node["condition2"])
+    if "all_excluded" in node:
+        assert node["all_excluded"] is (
+            node["type_iii"]["excluded"]
+            and all(c["conclusion"] == "reduction_impossible" for c in node["cases"])
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wild-enum", "--format", "json", "--d", "3"],
+        ["wild-enum", "--format", "json", "--d", "5"],
+        ["wild-enum", "--format", "json", "--d", "9"],
+        ["check-reductions", "--format", "json", "--d", "8", "--k", "3"],
+        ["classify", "--format", "json", "6", "13", "20"],
+    ],
+    ids=" ".join,
+)
+def test_certificates_are_checkable_from_json_alone(capsys, argv):
+    _, out, _ = run(capsys, *argv)
+    rows = []
+    _recheck(json.loads(out), rows)
+    assert rows and all(row["holds"] for row in rows)

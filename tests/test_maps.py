@@ -75,6 +75,13 @@ class TestGenerators:
         with pytest.raises(ValueError):
             Triangular("w", X)
 
+    @pytest.mark.parametrize("shift", [5, None, "x^2", 0.5])
+    def test_triangular_shift_must_be_a_polynomial(self, shift):
+        with pytest.raises(TypeError):
+            Triangular("y", shift)
+        with pytest.raises(TypeError):
+            triangular("z", shift)
+
     def test_nagata_shear_matches_closed_form(self):
         for k in (1, 2):
             assert NagataShear(k).applied_to((X, Y, Z)) == nagata(k).coords

@@ -112,22 +112,20 @@ class TestSuLowerBound:
 
 class TestCaseReport:
     def test_from_checks_all_hold(self):
-        checks = [InequalityCheck("a < b", 1, 2, True)]
-        report = CaseReport.from_checks("first", checks)
+        checks = (InequalityCheck("a < b", 1, 2, True),)
+        report = CaseReport("first", checks)
         assert report.conclusion == REDUCTION_IMPOSSIBLE
 
     def test_from_checks_any_failure(self):
-        checks = [
+        checks = (
             InequalityCheck("a < b", 1, 2, True),
             InequalityCheck("b < a", 2, 1, False),
-        ]
-        report = CaseReport.from_checks("second", checks)
+        )
+        report = CaseReport("second", checks)
         assert report.conclusion == INCONCLUSIVE
 
     def test_to_dict(self):
-        report = CaseReport.from_checks(
-            "third", [InequalityCheck("n", 1, 2, True)]
-        )
+        report = CaseReport("third", (InequalityCheck("n", 1, 2, True),))
         assert report.to_dict() == {
             "coordinate": "third",
             "checks": [{"name": "n", "lhs": 1, "rhs": 2, "holds": True}],
