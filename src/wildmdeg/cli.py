@@ -20,7 +20,9 @@ Subcommands
 
 Every subcommand accepts ``--format {text,json}`` (after the subcommand
 name); JSON output is deterministic (sorted keys, two-space indent).
-Usage and parameter errors exit with code 3.
+Usage and parameter errors exit with code 3.  ``python -m wildmdeg``
+exits with code 141 (128 + SIGPIPE), and prints no traceback, when the
+reader of its standard output closes it early, as ``| head`` does.
 """
 
 from __future__ import annotations

@@ -98,6 +98,15 @@ class NagataShear:
     With q-power k and scale c this is
     (x - 2c*y*q^k - c^2*z*q^2k,  y + c*z*q^k,  z); scale -1 gives the
     inverse of scale +1.
+
+    Applied to coordinates (u, v, w), the second output is
+    s = v + c*w*q^k, and the first has two equal forms,
+    u - 2c*v*q^k - c^2*w*q^2k = u - 2c*s*q^k + c^2*w*q^2k.
+    The one whose factor of q^k, v or s, has fewer terms is used.  When
+    the shear undoes an earlier one, as in every check that a map
+    composed with its inverse is the identity, s is the v that the
+    earlier shear was given.  In the wild maps' checks that is one term
+    while v has hundreds, so the product with q^k becomes a shift.
     """
 
     power: int
@@ -115,11 +124,14 @@ class NagataShear:
     def applied_to(self, coords: Coords) -> Coords:
         u, v, w = coords
         quadric = v * v + u * w
-        # one call, so that off the multinomial path q^2k is built from q^k
+        # one call, so that on the binary-powering path q^2k is built from q^k
         q_k, q_2k = _powers(quadric, [self.power, 2 * self.power])
         c = self.scale
-        first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
         second = v + (w * q_k) * c
+        if len(second) < len(v):
+            first = u - (second * q_k) * (2 * c) + (w * q_2k) * (c * c)
+        else:
+            first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
         return (first, second, w)
 
     def inverted(self) -> "NagataShear":

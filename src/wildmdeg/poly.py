@@ -36,17 +36,22 @@ Powers are computed by the cheapest exact method the base allows.  When
 the exponent vectors of the base are affinely independent (every
 monomial and binomial, and trinomials such as y^2 + x*z + x^4), each term
 of the multinomial expansion is a distinct monomial, so the expansion is
-written out directly and the work equals the output size.  Any other
-base is raised by left-to-right binary powering.  Each doubling step
-either squares the power it has or multiplies by the base one factor at
-a time, whichever the term counts of the powers already built predict to
-be cheaper.  The coordinates of the wild maps collapse under powering
-(|A^j| grows like j^2), so they square at every step; a base with full
-3-D support (|A^j| like j^3) squares only while its powers are small.
+written out directly and the work equals the output size.  Otherwise,
+when the base's lowest-total-degree part is a single term a0*m0 (as for
+every coordinate the wild maps raise to a power), the degree components
+of A^n are built upward by J.C.P. Miller's power-series recurrence (Knuth,
+TAOCP Vol. 2, 4.7), each divided exactly by a0 times an integer and by
+m0: about |A|*|A^n| term products.  Any other base is raised by
+left-to-right binary powering.  Each doubling step either squares the
+power it has or multiplies by the base one factor at a time, whichever
+the term counts of the powers already built predict to be cheaper.  A
+base with collapsing powers (|A^j| like j^2) squares at every step; a
+base with full 3-D support (|A^j| like j^3) squares only while its powers
+are small.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
-occur in the polynomial.  For images on the binary-powering path
-it keeps those powers in a private memo on the image itself, so a later
+occur in the polynomial.  For images off the multinomial path it keeps
+those powers in a private memo on the image itself, so a later
 substitution into the same (immutable) image reuses them instead of
 recomputing them.  The memo lives and dies with its polynomial and takes
 no part in equality or hashing.
@@ -156,7 +161,7 @@ class Polynomial:
     """Immutable sparse polynomial in x, y, z with exact coefficients."""
 
     # _powers: memo {exponent: Polynomial} kept by `substitute` on images
-    # that take the binary-powering path (None until first used)
+    # off the multinomial path (None until first used)
     # _fractions: True exactly when some coefficient is a Fraction; integral
     # coefficients are always stored as ints
     __slots__ = ("_terms", "_hash", "_powers", "_fractions")
@@ -364,7 +369,10 @@ class Polynomial:
             return ZERO
         images = (x_image, y_image, z_image)
         used = [sorted({t[i] for t in self._terms} - {0}) for i in range(3)]
-        bound = sum(e[-1] * _max_exponent(img) for e, img in zip(used, images) if e)
+        # the graded powers' intermediate terms reach image^(e + 1)
+        bound = sum(
+            (e[-1] + 1) * _max_exponent(img) for e, img in zip(used, images) if e
+        )
         width = bound.bit_length()
         tables = [
             _packed_powers(img, e, width, remember=True)
@@ -578,16 +586,18 @@ def _packed_powers(
     """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
 
     Affinely independent bases expand by the multinomial theorem.  Other
-    bases are raised by ``_raise``; with ``remember`` the requested powers
-    are also kept in the memo ``base._powers`` and read back from it on
-    later calls.  ``width`` must hold every exponent of
-    ``base**max(exponents)``.
+    bases whose lowest-degree part is one term take ``_graded_power``, and
+    the rest ``_raise``; with ``remember`` the requested powers are also
+    kept in the memo ``base._powers`` and read back from it on later calls.
+    ``width`` must hold every exponent of ``base**(max(exponents) + 1)``,
+    which the graded recurrence's intermediate terms reach.
     """
     if not base._terms:
         return {e: [] for e in exponents}
     step = _pack(base, width)
     if _affinely_independent(base._terms):
         return {e: _multinomial(step, e) for e in exponents}
+    parts = _graded(base, step)
     memo = base._powers if remember else None
     known = {1: step}
     found = {}
@@ -595,12 +605,70 @@ def _packed_powers(
         cached = memo.get(e) if memo else None
         if cached is not None:
             known[e] = _pack(cached, width)
+        elif parts and e > 1:
+            known[e] = _graded_power(parts, e, base._fractions)
         found[e] = _raise(known, e)
         if remember and e > 1 and cached is None:
             if memo is None:
                 memo = base._powers = {}
             memo[e] = _unpack(found[e], width, base._fractions)
     return found
+
+
+def _graded(base: Polynomial, packed: PackedTerms) -> Optional[list]:
+    """Homogeneous components of ``base``, given ``packed = _pack(base, w)``,
+    as ascending (total degree, packed terms) pairs, or None unless the
+    lowest is one term."""
+    parts: dict = {}
+    for (e0, e1, e2), term in zip(base._terms, packed):
+        parts.setdefault(e0 + e1 + e2, []).append(term)
+    if len(parts[min(parts)]) > 1:
+        return None
+    return sorted(parts.items())
+
+
+def _graded_power(parts: list, n: int, fractions: bool) -> PackedTerms:
+    """Packed A^n by J.C.P. Miller's power recurrence along the total degree.
+
+    ``parts`` are A's homogeneous components A_i from ``_graded``; the
+    lowest, A_i0 = a0*m0, is one term.  For the degree operator E (which
+    multiplies a form of degree L by L), A*E(A^n) = n*E(A)*A^n.  Its part
+    of degree L gives, for the components P_j of P = A^n,
+
+        (L - (n+1)*i0) * a0*m0 * P_(L-i0) = sum over i > i0 of
+                                            ((n+1)*i - L) * A_i * P_(L-i).
+
+    So each P_j, upward from P_(n*i0) = (a0*m0)^n, is the right-hand side
+    for L = j + i0, divided exactly by a0*(j - n*i0) and by m0: about
+    |A|*|A^n| term products in all.  The right-hand side's terms reach the
+    exponents of A^(n+1) before they cancel.
+    """
+    (i0, ((m0, a0),)), *upper = parts
+    low = n * i0
+    power = {low: [(m0 * n, a0**n)]}
+    for j in range(low + 1, n * parts[-1][0] + 1):
+        degree = j + i0
+        out: dict = {}
+        for i, terms in upper:
+            below = power.get(degree - i)
+            weight = (n + 1) * i - degree
+            if below and weight:
+                _accumulate(out, [(k, c * weight) for k, c in terms], below)
+        divisor = a0 * (j - low)
+        component = []
+        for k, c in out.items():
+            if not c:
+                continue
+            if fractions:
+                c = Fraction(c) / divisor
+            else:
+                c, remainder = divmod(c, divisor)
+                if remainder:
+                    raise ArithmeticError("inexact division in a graded power")
+            component.append((k - m0, c))
+        if component:
+            power[j] = component
+    return [term for component in power.values() for term in component]
 
 
 def _raise(known: dict, e: int) -> PackedTerms:
@@ -646,7 +714,7 @@ def _raise(known: dict, e: int) -> PackedTerms:
 def _powers(base: Polynomial, exponents: List[int]) -> List[Polynomial]:
     """``[base**e for e in exponents]``, ascending and positive, in one pass:
     the larger powers are built from the smaller ones."""
-    width = (exponents[-1] * _max_exponent(base)).bit_length()
+    width = ((exponents[-1] + 1) * _max_exponent(base)).bit_length()
     table = _packed_powers(base, exponents, width, remember=False)
     return [_unpack(table[e], width, base._fractions) for e in exponents]
 

@@ -7,6 +7,7 @@ and capture stdout/stderr via capsys; one smoke test exercises the
 
 import json
 import operator
+import os
 import re
 import subprocess
 import sys
@@ -118,6 +119,25 @@ class TestUsageErrors:
         )
         assert result.returncode == 0
         assert "wildmdeg" in result.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader of stdout is gone before the first write, as after
+        # `| head -c 300`; closing the read end first makes that certain
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "wildmdeg", "construct", "fdk",
+                 "--d", "6", "--k", "2", "--format", "json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert "Traceback" not in result.stderr
+        assert "BrokenPipeError" not in result.stderr
 
 
 class TestConstructCommand:

@@ -4,12 +4,15 @@ The coordinate strings asserted below were expanded by hand and are
 frozen; they double as regression anchors for the renderer.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from wildmdeg import (
     INVARIANT_QUADRIC,
     NagataShear,
     PolyMap,
+    Polynomial,
     Transposition,
     Triangular,
     UnknownFactorization,
@@ -31,6 +34,7 @@ from wildmdeg import (
     triangular,
     z_shift,
 )
+from wildmdeg import poly
 
 
 def jacobian_determinant(coords):
@@ -47,6 +51,23 @@ def jacobian_determinant(coords):
         - rows[0][1] * minor(0, 1)
         + rows[0][2] * minor(0, 2)
     )
+
+
+def expanded_product(a, b):
+    """a * b expanded term by term, outside the polynomial kernel."""
+    out = {}
+    for (a0, a1, a2), ca in a.terms().items():
+        for (b0, b1, b2), cb in b.terms().items():
+            key = (a0 + b0, a1 + b1, a2 + b2)
+            out[key] = out.get(key, 0) + ca * cb
+    return Polynomial(out)
+
+
+def expanded_power(a, n):
+    out = Polynomial.constant(1)
+    for _ in range(n):
+        out = expanded_product(out, a)
+    return out
 
 
 class TestGenerators:
@@ -90,6 +111,28 @@ class TestGenerators:
         coords = (X, Y, Z)
         forward = NagataShear(2).applied_to(coords)
         assert NagataShear(2, -1).applied_to(forward) == coords
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 2)], ids=str)
+    def test_nagata_shear_both_forms_of_the_first_coordinate(self, k, c):
+        # on (x, y, z + x^3) the first coordinate is built from v, which is
+        # smaller than v + c*w*q^k; on the output of the inverse shear it is
+        # built from v + c*w*q^k, which collapses to y
+        coords = (X, Y, Z + X**3)
+        backward = NagataShear(k, -c).applied_to(coords)
+        for start, second_is_smaller in ((coords, False), (backward, True)):
+            u, v, w = start
+            first, second, third = NagataShear(k, c).applied_to(start)
+            assert (len(second) < len(v)) == second_is_smaller
+            q = expanded_product(v, v) + expanded_product(u, w)
+            q_k = expanded_power(q, k)
+            assert first == (
+                u
+                - expanded_product(v, q_k) * (2 * c)
+                - expanded_product(w, expanded_power(q, 2 * k)) * (c * c)
+            )
+            assert second == v + expanded_product(w, q_k) * c
+            assert third == w
 
     def test_nagata_shear_tokens(self):
         assert NagataShear(2).token() == "nagata(2)"
@@ -200,6 +243,31 @@ class TestInverse:
         map_ = tame_witness(2, 4, 8, 4, 0)
         assert compose(inverse(map_), map_).is_identity()
         assert compose(map_, inverse(map_)).is_identity()
+
+    @pytest.mark.parametrize(
+        "d, k, binary_powering_cost", [(6, 29, 591_586), (8, 19, 350_846)]
+    )
+    def test_inverse_checks_cost(self, monkeypatch, d, k, binary_powering_cost):
+        # kernel term products of both inverse checks: at most 60 % of their
+        # cost with binary powering and with v as the shear's factor of q^k
+        f = sheared_nagata(d, k)
+        f.coords
+        count = [0]
+        accumulate, square = poly._accumulate, poly._accumulate_square
+
+        def counted_accumulate(out, a, b):
+            count[0] += len(a) * len(b)
+            accumulate(out, a, b)
+
+        def counted_square(out, a):
+            count[0] += len(a) * (len(a) + 1) // 2
+            square(out, a)
+
+        monkeypatch.setattr(poly, "_accumulate", counted_accumulate)
+        monkeypatch.setattr(poly, "_accumulate_square", counted_square)
+        assert is_identity(compose(inverse(f), f))
+        assert is_identity(compose(f, inverse(f)))
+        assert count[0] <= 0.6 * binary_powering_cost
 
     def test_double_inverse(self):
         map_ = sheared_nagata(3, 1)

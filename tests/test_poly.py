@@ -29,6 +29,7 @@ from wildmdeg import (
     parse,
     wild_family,
 )
+from wildmdeg.poly import _affinely_independent
 
 QUADRIC = Y * Y + X * Z
 
@@ -350,6 +351,14 @@ def _to_ring(poly, ring):
     )
 
 
+def _int_normal_form(poly):
+    """Every integral coefficient is an int, and the Fraction flag agrees."""
+    coeffs = list(poly.terms().values())
+    return all(
+        isinstance(c, int) or c.denominator != 1 for c in coeffs
+    ) and poly.has_integer_coefficients() == all(isinstance(c, int) for c in coeffs)
+
+
 class TestSympyOracle:
     """Products, powers, substitution and partial derivatives against sympy.
 
@@ -372,12 +381,19 @@ class TestSympyOracle:
         3 * X - Fraction(1, 2) * Y * Z + Z**2 + 1,
         X + Y + X * Y,
     ]
-    # affinely dependent: binary powering, squaring or multiplying by the base
+    # affinely dependent, with a one-term lowest-degree part: the graded
+    # recurrence, which divides by that term's coefficient
     DEPENDENT = [
         1 + X + X**2,
         X + Y + X * Y + 1,
         Y**2 + X * Z - 2 * X * Y + Z + 1,
         X * Y - Fraction(2, 3) * Y * Z + X**2 + Z**2 + Y,
+        2 * Z + X * Y + X**2 * Y**2 - 3 * X**3 * Y**3 - Y**2 * Z,
+        Fraction(3, 2) * Y + X * Y - Y * Z + X**2 * Z + Z**3,
+        -3 + X * Y - Y * Z + X**2 * Z + 2 * Y**3,
+        # lowest-degree part x - 2*y: binary powering, squaring or
+        # multiplying by the base
+        X - 2 * Y + X * Z**2 + Y**2 + X * Y * Z,
     ]
 
     def test_products_of_random_polynomials(self, ring):
@@ -409,14 +425,20 @@ class TestSympyOracle:
 
     @pytest.mark.parametrize("base", DEPENDENT, ids=str)
     def test_dependent_powers_for_every_exponent_to_12(self, ring, base):
-        # every square/multiply pattern of the binary powering, through
-        # ** and through substitution into a memo-free copy of the base
+        # every exponent of the graded recurrence, and every square/multiply
+        # pattern of the binary powering, through ** and through
+        # substitution into a memo-free copy of the base
+        assert not _affinely_independent(base.terms())
         expected = {1: _to_ring(base, ring)}
         for n in range(2, 13):
             expected[n] = expected[n - 1] * expected[1]
-            assert _to_ring(base**n, ring) == expected[n]
+            power = base**n
+            assert _to_ring(power, ring) == expected[n]
+            assert _int_normal_form(power)
             image = Polynomial(base.terms())
-            assert _to_ring((X**n).substitute(image, Y, Z), ring) == expected[n]
+            substituted = (X**n).substitute(image, Y, Z)
+            assert _to_ring(substituted, ring) == expected[n]
+            assert _int_normal_form(substituted)
         # all the powers in one substitution, each built from the smaller ones
         image = Polynomial(base.terms())
         poly = Polynomial({(n, 0, 0): n for n in range(2, 13)})
