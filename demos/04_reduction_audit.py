@@ -15,11 +15,7 @@ usable window.
 """
 
 from wildmdeg import (
-    INVARIANT_QUADRIC,
     ReductionQuery,
-    X,
-    Y,
-    bracket_degree,
     no_elementary_reduction_check,
     su_lower_bound,
     type_iii_check,
@@ -27,11 +23,6 @@ from wildmdeg import (
 
 
 def main():
-    print("bracket degree examples:")
-    print("  [x, y]:", bracket_degree(X, Y))
-    print("  [q, x]:", bracket_degree(INVARIANT_QUADRIC, X))
-    print()
-
     print("degree lower bound for a candidate reducer of (6, 13, ...):")
     for q in range(4):
         bound = su_lower_bound(ReductionQuery(6, 13, q, 0))

@@ -74,7 +74,6 @@ from .reduction import (
     ReductionAudit,
     ReductionQuery,
     TypeThreeReport,
-    bracket_degree,
     family_triple,
     no_elementary_reduction_check,
     reduction_audit,
@@ -153,7 +152,6 @@ __all__ = [
     "ReductionAudit",
     "ReductionQuery",
     "TypeThreeReport",
-    "bracket_degree",
     "family_triple",
     "no_elementary_reduction_check",
     "reduction_audit",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int, _powers
+from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
 INVARIANT_QUADRIC = Y * Y + X * Z
@@ -124,8 +124,9 @@ class NagataShear:
     def applied_to(self, coords: Coords) -> Coords:
         u, v, w = coords
         quadric = v * v + u * w
-        # one call, so that on the binary-powering path q^2k is built from q^k
-        q_k, q_2k = _powers(quadric, [self.power, 2 * self.power])
+        # each power is built on its own: a dependent quadric takes the
+        # graded recurrence, which builds q^2k directly, not from q^k
+        q_k, q_2k = quadric**self.power, quadric ** (2 * self.power)
         c = self.scale
         second = v + (w * q_k) * c
         if len(second) < len(v):

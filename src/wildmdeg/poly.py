@@ -32,22 +32,20 @@ a one-term factor, or a power of one, only shifts or scales exponents and
 skips the kernel.  A square ``p * p`` of one object forms each unordered
 pair of terms once and doubles it, which halves its term products.
 
-Powers are computed by the cheapest exact method the base allows.  When
-the exponent vectors of the base are affinely independent (every
-monomial and binomial, and trinomials such as y^2 + x*z + x^4), each term
-of the multinomial expansion is a distinct monomial, so the expansion is
-written out directly and the work equals the output size.  Otherwise,
-when the base's lowest-total-degree part is a single term a0*m0 (as for
-every coordinate the wild maps raise to a power), the degree components
-of A^n are built upward by J.C.P. Miller's power-series recurrence (Knuth,
-TAOCP Vol. 2, 4.7), each divided exactly by a0 times an integer and by
-m0: about |A|*|A^n| term products.  Any other base is raised by
-left-to-right binary powering.  Each doubling step either squares the
-power it has or multiplies by the base one factor at a time, whichever
-the term counts of the powers already built predict to be cheaper.  A
-base with collapsing powers (|A^j| like j^2) squares at every step; a
-base with full 3-D support (|A^j| like j^3) squares only while its powers
-are small.
+Powers take one of two exact methods.  When the exponent vectors of the
+base are affinely independent (every monomial and binomial, and
+trinomials such as y^2 + x*z + x^4), each term of the multinomial
+expansion is a distinct monomial, so the expansion is written out
+directly and the work equals the output size.  Every other base A is
+raised by J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
+4.7), which builds the weighted homogeneous components of A^n upward
+from the power of A's lowest one, each divided exactly by an integer
+multiple of that lowest term: about |A|*|A^n| term products.  The
+recurrence holds for any positive integer weight whose lowest part of A
+is one term.  The weight is the total degree when A's lowest total
+degree part is one term, as for every coordinate the wild maps raise to
+a power; otherwise it is (s^2, s, 1), with s one more than A's largest
+exponent, under which every term of A has its own degree.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
 occur in the polynomial.  For images off the multinomial path it keeps
@@ -60,6 +58,7 @@ no part in equality or hashing.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -245,10 +244,6 @@ class Polynomial:
             return MINUS_INFINITY
         return max(ex + ey + ez for (ex, ey, ez) in self._terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {ex + ey + ez for (ex, ey, ez) in self._terms}
-        return len(degrees) <= 1
-
     def has_integer_coefficients(self) -> bool:
         return not self._fractions
 
@@ -356,7 +351,9 @@ class Polynomial:
             return Polynomial._raw(
                 {(e0 * n, e1 * n, e2 * n): c**n}, self._fractions
             )
-        return _powers(self, [exponent])[0]
+        width = ((exponent + 1) * _max_exponent(self)).bit_length()
+        table = _packed_powers(self, [exponent], width, remember=False)
+        return _unpack(table[exponent], width, self._fractions)
 
     def substitute(
         self,
@@ -585,12 +582,12 @@ def _packed_powers(
 ) -> dict:
     """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
 
-    Affinely independent bases expand by the multinomial theorem.  Other
-    bases whose lowest-degree part is one term take ``_graded_power``, and
-    the rest ``_raise``; with ``remember`` the requested powers are also
-    kept in the memo ``base._powers`` and read back from it on later calls.
-    ``width`` must hold every exponent of ``base**(max(exponents) + 1)``,
-    which the graded recurrence's intermediate terms reach.
+    Affinely independent bases expand by the multinomial theorem, and
+    every other base takes ``_graded_power``.  With ``remember`` the
+    requested powers are also kept in the memo ``base._powers`` and read
+    back from it on later calls.  ``width`` must hold every exponent of
+    ``base**(max(exponents) + 1)``, which the graded recurrence's
+    intermediate terms reach.
     """
     if not base._terms:
         return {e: [] for e in exponents}
@@ -599,54 +596,71 @@ def _packed_powers(
         return {e: _multinomial(step, e) for e in exponents}
     parts = _graded(base, step)
     memo = base._powers if remember else None
-    known = {1: step}
     found = {}
     for e in exponents:
         cached = memo.get(e) if memo else None
         if cached is not None:
-            known[e] = _pack(cached, width)
-        elif parts and e > 1:
-            known[e] = _graded_power(parts, e, base._fractions)
-        found[e] = _raise(known, e)
-        if remember and e > 1 and cached is None:
-            if memo is None:
-                memo = base._powers = {}
-            memo[e] = _unpack(found[e], width, base._fractions)
+            found[e] = _pack(cached, width)
+        elif e == 1:
+            found[e] = step
+        else:
+            found[e] = _graded_power(parts, e, base._fractions)
+            if remember:
+                if memo is None:
+                    memo = base._powers = {}
+                memo[e] = _unpack(found[e], width, base._fractions)
     return found
 
 
-def _graded(base: Polynomial, packed: PackedTerms) -> Optional[list]:
-    """Homogeneous components of ``base``, given ``packed = _pack(base, w)``,
-    as ascending (total degree, packed terms) pairs, or None unless the
-    lowest is one term."""
+def _graded(base: Polynomial, packed: PackedTerms) -> list:
+    """Weighted homogeneous components of ``base``, given
+    ``packed = _pack(base, w)``, as ascending (degree, packed terms) pairs.
+
+    The weight is (1, 1, 1), the total degree, when the lowest total
+    degree part is one term.  Otherwise it is (s^2, s, 1) with s one more
+    than the largest exponent, which gives each term its own degree.
+    Either way the lowest component is one term.
+    """
+    degrees = [e0 + e1 + e2 for e0, e1, e2 in base._terms]
+    if degrees.count(min(degrees)) > 1:
+        s = _max_exponent(base) + 1
+        degrees = [(e0 * s + e1) * s + e2 for e0, e1, e2 in base._terms]
     parts: dict = {}
-    for (e0, e1, e2), term in zip(base._terms, packed):
-        parts.setdefault(e0 + e1 + e2, []).append(term)
-    if len(parts[min(parts)]) > 1:
-        return None
+    for degree, term in zip(degrees, packed):
+        parts.setdefault(degree, []).append(term)
     return sorted(parts.items())
 
 
 def _graded_power(parts: list, n: int, fractions: bool) -> PackedTerms:
-    """Packed A^n by J.C.P. Miller's power recurrence along the total degree.
+    """Packed A^n by J.C.P. Miller's power recurrence along a weighted degree.
 
-    ``parts`` are A's homogeneous components A_i from ``_graded``; the
-    lowest, A_i0 = a0*m0, is one term.  For the degree operator E (which
-    multiplies a form of degree L by L), A*E(A^n) = n*E(A)*A^n.  Its part
-    of degree L gives, for the components P_j of P = A^n,
+    ``parts`` are A's weighted homogeneous components A_i from ``_graded``;
+    the lowest, A_i0 = a0*m0, is one term.  For the weighted Euler
+    operator E, which multiplies a form of weighted degree L by L,
+    A*E(A^n) = n*E(A)*A^n.  Its part of degree L gives, for the
+    components P_j of P = A^n,
 
         (L - (n+1)*i0) * a0*m0 * P_(L-i0) = sum over i > i0 of
                                             ((n+1)*i - L) * A_i * P_(L-i).
 
     So each P_j, upward from P_(n*i0) = (a0*m0)^n, is the right-hand side
     for L = j + i0, divided exactly by a0*(j - n*i0) and by m0: about
-    |A|*|A^n| term products in all.  The right-hand side's terms reach the
-    exponents of A^(n+1) before they cancel.
+    |A|*|A^n| term products in all.  That right-hand side is zero unless
+    some P_(j - (i - i0)) is nonzero, so only the degrees j + (i - i0) of
+    the nonzero components are visited, in ascending order from a heap.
+    The right-hand side's terms reach the exponents of A^(n+1) before
+    they cancel.
     """
     (i0, ((m0, a0),)), *upper = parts
     low = n * i0
+    top = n * parts[-1][0]
+    steps = [i - i0 for i, _ in upper]
     power = {low: [(m0 * n, a0**n)]}
-    for j in range(low + 1, n * parts[-1][0] + 1):
+    # ascending, so already a heap
+    queue = [low + step for step in steps]
+    queued = set(queue)
+    while queue:
+        j = heappop(queue)
         degree = j + i0
         out: dict = {}
         for i, terms in upper:
@@ -668,55 +682,11 @@ def _graded_power(parts: list, n: int, fractions: bool) -> PackedTerms:
             component.append((k - m0, c))
         if component:
             power[j] = component
+            for step in steps:
+                if j + step <= top and j + step not in queued:
+                    queued.add(j + step)
+                    heappush(queue, j + step)
     return [term for component in power.values() for term in component]
-
-
-def _raise(known: dict, e: int) -> PackedTerms:
-    """Packed A^e, given ``known``: {j: packed A^j} holding at least A^1.
-
-    Left-to-right binary powering.  From the longest known prefix m of
-    e's bits, each next prefix 2m or 2m + 1 is reached by squaring A^m,
-    at |A^m|(|A^m|+1)/2 term products, or by multiplying by A one step at
-    a time from the largest known power p <= 2m, at |A|*|A^j| for each
-    j = p .. 2m-1.  Those |A^j| are estimated on the line through the two
-    largest known powers, which underestimates their convex growth, and
-    the square is taken only when it is cheaper than that estimate.
-    Every power formed is added to ``known``.
-    """
-    shift = 0
-    while e >> shift not in known:
-        shift += 1
-    size = len(known[1])
-    while shift:
-        shift -= 1
-        m, target = e >> (shift + 1), e >> shift
-        p = max(j for j in known if j <= 2 * m)
-        if p < 2 * m:
-            steps, last = 2 * m - p, len(known[p])
-            chain = steps * last
-            if p > 1:
-                q = max(j for j in known if j < p)
-                chain += (last - len(known[q])) * steps * (steps - 1) // (2 * (p - q))
-            half = len(known[m])
-            if half * (half + 1) // 2 < size * chain:
-                out: dict = {}
-                _accumulate_square(out, known[m])
-                p = 2 * m
-                known[p] = _pruned(out)
-        while p < target:
-            out = {}
-            _accumulate(out, known[p], known[1])
-            p += 1
-            known[p] = _pruned(out)
-    return known[e]
-
-
-def _powers(base: Polynomial, exponents: List[int]) -> List[Polynomial]:
-    """``[base**e for e in exponents]``, ascending and positive, in one pass:
-    the larger powers are built from the smaller ones."""
-    width = ((exponents[-1] + 1) * _max_exponent(base)).bit_length()
-    table = _packed_powers(base, exponents, width, remember=False)
-    return [_unpack(table[e], width, base._fractions) for e in exponents]
 
 
 def _render_term(coeff: Coeff, term: Term) -> str:

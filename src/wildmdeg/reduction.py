@@ -26,28 +26,10 @@ from math import gcd
 from operator import eq, ge, lt
 from typing import ClassVar, List, Tuple
 
-from .poly import Degree, MINUS_INFINITY, Polynomial, _check_int
+from .poly import _check_int
 
 REDUCTION_IMPOSSIBLE = "reduction_impossible"
 INCONCLUSIVE = "inconclusive"
-
-
-def bracket_degree(f: Polynomial, g: Polynomial) -> Degree:
-    """2 + max degree of the Jacobian 2x2 minors of (f, g).
-
-    Returns ``MINUS_INFINITY`` when every minor vanishes, which signals
-    algebraic dependence of f and g (the "+2" is absorbed by the
-    sentinel).  Raises on zero input.
-    """
-    if f.is_zero() or g.is_zero():
-        raise ValueError("bracket_degree needs nonzero polynomials")
-    best: Degree = MINUS_INFINITY
-    for v, w in (("x", "y"), ("x", "z"), ("y", "z")):
-        minor = f.partial(v) * g.partial(w) - f.partial(w) * g.partial(v)
-        degree = minor.total_degree()
-        if degree > best:
-            best = degree
-    return best + 2
 
 
 @dataclass(frozen=True)

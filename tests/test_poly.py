@@ -4,6 +4,7 @@ Expected values are frozen: strings and coefficient tables below were
 computed by hand and must never be regenerated from the code under test.
 """
 
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -29,7 +30,7 @@ from wildmdeg import (
     parse,
     wild_family,
 )
-from wildmdeg.poly import _affinely_independent
+from wildmdeg.poly import _affinely_independent, _graded, _pack
 
 QUADRIC = Y * Y + X * Z
 
@@ -207,11 +208,6 @@ class TestDegreeStructure:
         assert (QUADRIC + ONE).total_degree() == 2
         assert Polynomial.constant(7).total_degree() == 0
 
-    def test_homogeneous(self):
-        assert QUADRIC.is_homogeneous()
-        assert not (QUADRIC + X).is_homogeneous()
-        assert ZERO.is_homogeneous()
-
     def test_top_form(self):
         assert (QUADRIC + X + 1).top_form() == QUADRIC
         assert QUADRIC.top_form() == QUADRIC
@@ -381,8 +377,8 @@ class TestSympyOracle:
         3 * X - Fraction(1, 2) * Y * Z + Z**2 + 1,
         X + Y + X * Y,
     ]
-    # affinely dependent, with a one-term lowest-degree part: the graded
-    # recurrence, which divides by that term's coefficient
+    # affinely dependent: the graded recurrence, which divides by the
+    # coefficient of the lowest weighted part's one term
     DEPENDENT = [
         1 + X + X**2,
         X + Y + X * Y + 1,
@@ -391,9 +387,18 @@ class TestSympyOracle:
         2 * Z + X * Y + X**2 * Y**2 - 3 * X**3 * Y**3 - Y**2 * Z,
         Fraction(3, 2) * Y + X * Y - Y * Z + X**2 * Z + Z**3,
         -3 + X * Y - Y * Z + X**2 * Z + 2 * Y**3,
-        # lowest-degree part x - 2*y: binary powering, squaring or
-        # multiplying by the base
+        # A^2 has no x^2 term, so the recurrence passes a zero component
+        1 + X - Fraction(1, 2) * X**2,
+        # lowest total degree parts of two and three terms: graded by the
+        # weight (s^2, s, 1), which gives each term its own degree
         X - 2 * Y + X * Z**2 + Y**2 + X * Y * Z,
+        Fraction(2, 3) * X
+        - Fraction(1, 2) * Z
+        + Y * Z
+        + X**2
+        - Fraction(5, 4) * X * Y * Z,
+        # full 3-D support
+        X + Y + Z + X * Y + Y * Z + X * Z + X * Y * Z,
     ]
 
     def test_products_of_random_polynomials(self, ring):
@@ -425,8 +430,7 @@ class TestSympyOracle:
 
     @pytest.mark.parametrize("base", DEPENDENT, ids=str)
     def test_dependent_powers_for_every_exponent_to_12(self, ring, base):
-        # every exponent of the graded recurrence, and every square/multiply
-        # pattern of the binary powering, through ** and through
+        # every exponent of the graded recurrence, through ** and through
         # substitution into a memo-free copy of the base
         assert not _affinely_independent(base.terms())
         expected = {1: _to_ring(base, ring)}
@@ -482,6 +486,45 @@ class TestSympyOracle:
         c = X ** (big - 1) + Y**big * Z
         assert _to_ring(c**3, ring) == _to_ring(c, ring) ** 3
         assert parse("(x^1000000000)^1000000000") ** 100 == X ** (10**20)
+
+
+class TestPowerGrading:
+    """The weight by which the graded power recurrence splits its base."""
+
+    @staticmethod
+    def components(base):
+        parts = _graded(base, _pack(base, 32))
+        return [(degree, len(terms)) for degree, terms in parts]
+
+    @staticmethod
+    def lowest_total_degree_terms(base):
+        totals = Counter(sum(term) for term in base.terms())
+        return totals[min(totals)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_term_lowest_part_is_graded_by_total_degree(self, k):
+        # a shear's quadric on coordinates with a constant term, and the
+        # base z + 2y*t - x*t^2, t = q^k, that z_shift(d)'s inverse raises
+        # to the d-th power in every inverse check.  A finer weight would
+        # split them into single-term components, which the recurrence
+        # multiplies one kernel call at a time.
+        quadric = (Y + 1) * (Y + 1) + X * Z
+        t = QUADRIC**k
+        for base in (quadric**k, Z + 2 * Y * t - X * t**2):
+            assert not _affinely_independent(base.terms())
+            assert self.lowest_total_degree_terms(base) == 1
+            totals = Counter(sum(term) for term in base.terms())
+            assert self.components(base) == sorted(totals.items())
+
+    def test_other_bases_give_each_term_its_own_degree(self):
+        bases = [
+            base
+            for base in TestSympyOracle.DEPENDENT
+            if self.lowest_total_degree_terms(base) > 1
+        ]
+        assert len(bases) == 3
+        for base in bases:
+            assert [count for _, count in self.components(base)] == [1] * len(base)
 
 
 class TestPowerMemo:

@@ -11,51 +11,16 @@ import pytest
 
 from wildmdeg import (
     INCONCLUSIVE,
-    MINUS_INFINITY,
     REDUCTION_IMPOSSIBLE,
-    X,
-    Y,
-    Z,
-    ZERO,
     CaseReport,
     InequalityCheck,
     ReductionQuery,
-    bracket_degree,
     family_triple,
-    nagata,
     no_elementary_reduction_check,
     reduction_audit,
     su_lower_bound,
     type_iii_check,
 )
-
-QUADRIC = Y * Y + X * Z
-
-
-class TestBracketDegree:
-    def test_independent_variables(self):
-        assert bracket_degree(X, Y) == 2
-        assert bracket_degree(Y, Z) == 2
-
-    def test_quadric_against_z(self):
-        # minors: (x,z): z, (y,z): 2y, (x,y): 0 -> max degree 1, bracket 3
-        assert bracket_degree(QUADRIC, Z) == 3
-
-    def test_dependent_pairs_give_sentinel(self):
-        assert bracket_degree(X, X) is MINUS_INFINITY
-        assert bracket_degree(X**2, X**3) is MINUS_INFINITY
-        assert bracket_degree(QUADRIC, QUADRIC**2) is MINUS_INFINITY
-
-    def test_automorphism_coordinates_meet_the_floor(self):
-        first, second, third = nagata(1).coords
-        assert bracket_degree(second, third) >= 2
-        assert bracket_degree(first, third) >= 2
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            bracket_degree(ZERO, X)
-        with pytest.raises(ValueError):
-            bracket_degree(X, ZERO)
 
 
 class TestReductionQuery:
