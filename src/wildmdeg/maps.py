@@ -21,6 +21,20 @@ Coordinates of a factored map are realized lazily: composing a factored
 map with another map folds the generators one at a time, which keeps the
 intermediate polynomials small (crucial when verifying that high-degree
 constructions compose with their inverses to the identity).
+
+The fold carries the quadric v^2 + u*w of its current coordinates
+(u, v, w), so that a shear need not recompute it.  A transposition or a
+shear leaves it unchanged.  One x- or z-shift by S adds S*w or u*S,
+which is kept pending and applied at the next shear only when that
+product is cheaper than recomputing; a y-shift, or a second shift while
+one is pending, drops the quadric.  A map built by a fold, by
+:func:`compose` or by a constructor keeps the quadric of its coordinates,
+so ``compose(inverse(f), f)`` starts from f's.  Every shear that reads a
+carried quadric first checks it against v^2 + u*w at one fixed point
+modulo the prime 2^61 - 1 (Schwartz, J. ACM 27, 1980) and raises
+``ArithmeticError`` on a mismatch, so the checks that a map composed with
+its inverse is the identity still test the shear formula itself.  The
+carried quadric takes no part in equality.
 """
 
 from __future__ import annotations
@@ -29,12 +43,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int
+from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int, _over_t
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
 INVARIANT_QUADRIC = Y * Y + X * Z
 
 Coords = Tuple[Polynomial, Polynomial, Polynomial]
+
+# the point check of a carried quadric: a prime modulus and a fixed point
+_MODULUS = 2**61 - 1
+_POINT = (0x1F3D5B79A2C4E6, 0x0A5C3E1F2D4B69, 0x17E5D3C1B0A987)
 
 
 class UnknownFactorization(ValueError):
@@ -99,14 +117,20 @@ class NagataShear:
     (x - 2c*y*q^k - c^2*z*q^2k,  y + c*z*q^k,  z); scale -1 gives the
     inverse of scale +1.
 
-    Applied to coordinates (u, v, w), the second output is
-    s = v + c*w*q^k, and the first has two equal forms,
+    Applied to coordinates (u, v, w), with q = v^2 + u*w, the second
+    output is s = v + c*w*q^k, and the first has two equal forms,
     u - 2c*v*q^k - c^2*w*q^2k = u - 2c*s*q^k + c^2*w*q^2k.
     The one whose factor of q^k, v or s, has fewer terms is used.  When
     the shear undoes an earlier one, as in every check that a map
     composed with its inverse is the identity, s is the v that the
     earlier shear was given.  In the wild maps' checks that is one term
     while v has hundreds, so the product with q^k becomes a shift.
+
+    The fold passes the quadric it carries as ``quadric``; the shear
+    checks it against v^2 + u*w at one fixed point modulo 2^61 - 1 and
+    raises ``ArithmeticError`` when they differ.  When u, v and w are
+    monomials, as on every fold from (x, y, z), the outputs keep their
+    form over t = q^k, so that their powers are raised over (x, y, z, t).
     """
 
     power: int
@@ -121,13 +145,29 @@ class NagataShear:
         if self.scale == 0:
             raise ValueError("shear scale must be nonzero")
 
-    def applied_to(self, coords: Coords) -> Coords:
+    def applied_to(
+        self, coords: Coords, *, quadric: Optional[Polynomial] = None
+    ) -> Coords:
         u, v, w = coords
-        quadric = v * v + u * w
+        if quadric is None:
+            quadric = v * v + u * w
+        else:
+            _check_quadric(coords, quadric)
+        c = self.scale
+        if len(u) == len(v) == len(w) == 1:
+            ((eu, cu),) = u.terms().items()
+            ((ev, cv),) = v.terms().items()
+            ((ew, cw),) = w.terms().items()
+            first, second = _over_t(
+                quadric,
+                self.power,
+                {(*eu, 0): cu, (*ev, 1): -2 * c * cv, (*ew, 2): -c * c * cw},
+                {(*ev, 0): cv, (*ew, 1): c * cw},
+            )
+            return (first, second, w)
         # each power is built on its own: a dependent quadric takes the
         # graded recurrence, which builds q^2k directly, not from q^k
         q_k, q_2k = quadric**self.power, quadric ** (2 * self.power)
-        c = self.scale
         second = v + (w * q_k) * c
         if len(second) < len(v):
             first = u - (second * q_k) * (2 * c) + (w * q_2k) * (c * c)
@@ -148,17 +188,99 @@ Generator = Union[Transposition, Triangular, NagataShear]
 _GENERATOR_TYPES = (Transposition, Triangular, NagataShear)
 
 
-def _apply_factors(factors: Sequence[Generator], coords: Coords) -> Coords:
+def _residue(poly: Polynomial) -> int:
+    """``poly`` at ``_POINT`` modulo ``_MODULUS``.
+
+    Raises ValueError when a denominator is divisible by the modulus.
+    """
+    m = _MODULUS
+    terms = poly.terms()
+    if not terms:
+        return 0
+    # each variable's powers, one per exponent that occurs
+    xs, ys, zs = (
+        {e: pow(value, e, m) for e in set(exponents)}
+        for value, exponents in zip(_POINT, zip(*terms))
+    )
+    total = 0
+    for (e0, e1, e2), c in terms.items():
+        if isinstance(c, Fraction):
+            c = c.numerator * pow(c.denominator, -1, m)
+        total += c % m * xs[e0] * ys[e1] * zs[e2]
+    return total % m
+
+
+def _check_quadric(coords: Coords, quadric: Polynomial) -> None:
+    """Raise ArithmeticError unless ``quadric`` agrees with v^2 + u*w at
+    ``_POINT`` modulo ``_MODULUS``, for coordinates (u, v, w)."""
+    try:
+        ru, rv, rw, rq = map(_residue, (*coords, quadric))
+        agrees = (rv * rv + ru * rw - rq) % _MODULUS == 0
+    except ValueError:  # a denominator the modulus divides: compare exactly
+        u, v, w = coords
+        agrees = v * v + u * w == quadric
+    if not agrees:
+        raise ArithmeticError("the carried quadric differs from v^2 + u*w")
+
+
+# The fold's carried quadric of coordinates (u, v, w) is None when unknown,
+# or (q, pending).  With pending None, v^2 + u*w is q.  Otherwise pending is
+# (multiplier, new, old): one x- or z-shift replaced the coordinate old by
+# new, and v^2 + u*w is q + multiplier * (new - old).
+_START = (INVARIANT_QUADRIC, None)
+
+
+def _carry(generator: Generator, old: Coords, new: Coords, carried):
+    """The carried quadric of ``new``, which the transposition or
+    triangular ``generator`` made from ``old``, whose carried quadric is
+    ``carried``."""
+    if carried is None or isinstance(generator, Transposition):
+        return carried
+    q, pending = carried
+    index = _VAR_INDEX[generator.variable]
+    if pending is not None or index == 1:
+        return None
+    multiplier = old[2] if index == 0 else old[0]
+    return (q, (multiplier, new[index], old[index]))
+
+
+def _read_quadric(coords: Coords, carried) -> Polynomial:
+    """v^2 + u*w of ``coords`` from their carried quadric: a pending shift
+    is applied when its product is cheaper than recomputing."""
+    u, v, w = coords
+    if carried is not None:
+        q, pending = carried
+        if pending is None:
+            return q
+        multiplier, new, old = pending
+        shift = new - old
+        recompute = len(v) * (len(v) + 1) // 2 + len(u) * len(w)
+        if len(multiplier) * len(shift) < recompute:
+            return q + multiplier * shift
+    return v * v + u * w
+
+
+def _apply_factors(factors: Sequence[Generator], coords: Coords, carried):
+    """Fold ``factors`` onto ``coords``, whose carried quadric is
+    ``carried``; returns the new coordinates and their carried quadric."""
     # factors are listed in composition order: the last one acts first
     for generator in reversed(factors):
-        coords = generator.applied_to(coords)
-    return coords
+        if isinstance(generator, NagataShear):
+            quadric = _read_quadric(coords, carried)
+            coords = generator.applied_to(coords, quadric=quadric)
+            carried = (quadric, None)
+        else:
+            new = generator.applied_to(coords)
+            carried = _carry(generator, coords, new, carried)
+            coords = new
+    return coords, carried
 
 
 class PolyMap:
     """Polynomial map of 3-space, optionally carrying its factorization."""
 
-    __slots__ = ("_coords", "_factors")
+    # _quadric: the carried quadric of the coordinates (see _apply_factors)
+    __slots__ = ("_coords", "_factors", "_quadric")
 
     def __init__(
         self,
@@ -180,11 +302,14 @@ class PolyMap:
                     raise TypeError(f"unknown generator {generator!r}")
         self._coords = coords
         self._factors = factors
+        self._quadric = None
 
     @property
     def coords(self) -> Coords:
         if self._coords is None:
-            self._coords = _apply_factors(self._factors, (X, Y, Z))
+            self._coords, self._quadric = _apply_factors(
+                self._factors, (X, Y, Z), _START
+            )
         return self._coords
 
     @property
@@ -232,15 +357,23 @@ def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     coordinates of ``inner``.  When ``outer`` is factored, its generators
     are folded one at a time onto ``inner``'s coordinates.
     """
+    coords = inner.coords
     if outer.factors is not None:
-        coords = _apply_factors(outer.factors, inner.coords)
+        coords, carried = _apply_factors(outer.factors, coords, inner._quadric)
     else:
-        cx, cy, cz = inner.coords
+        cx, cy, cz = coords
         coords = tuple(c.substitute(cx, cy, cz) for c in outer.coords)
+        carried = None
     factors = None
     if outer.factors is not None and inner.factors is not None:
         factors = outer.factors + inner.factors
-    return PolyMap(coords=coords, factors=factors)
+    return _carrying(PolyMap(coords=coords, factors=factors), carried)
+
+
+def _carrying(map_: PolyMap, carried) -> PolyMap:
+    """``map_``, given ``carried`` as the carried quadric of its coordinates."""
+    map_._quadric = carried
+    return map_
 
 
 def inverse(map_: PolyMap) -> PolyMap:
@@ -271,19 +404,21 @@ def is_identity(map_: PolyMap) -> bool:
 
 
 def identity() -> PolyMap:
-    return PolyMap(coords=(X, Y, Z), factors=())
+    return _carrying(PolyMap(coords=(X, Y, Z), factors=()), _START)
 
 
 def transposition() -> PolyMap:
     """The swap (x, y, z) -> (z, y, x)."""
-    return PolyMap(coords=(Z, Y, X), factors=(Transposition(),))
+    return _carrying(PolyMap(coords=(Z, Y, X), factors=(Transposition(),)), _START)
 
 
 def triangular(variable: str, shift: Polynomial) -> PolyMap:
     """Elementary map adding ``shift`` (free of ``variable``) to one coordinate."""
     generator = Triangular(variable, shift)
-    return PolyMap(
-        coords=generator.applied_to((X, Y, Z)), factors=(generator,)
+    coords = generator.applied_to((X, Y, Z))
+    return _carrying(
+        PolyMap(coords=coords, factors=(generator,)),
+        _carry(generator, (X, Y, Z), coords, _START),
     )
 
 
@@ -303,7 +438,7 @@ def nagata(k: int) -> PolyMap:
     q_k = INVARIANT_QUADRIC**k
     q_2k = INVARIANT_QUADRIC ** (2 * k)
     coords = (X - (Y * q_k) * 2 - Z * q_2k, Y + Z * q_k, Z)
-    return PolyMap(coords=coords, factors=(NagataShear(k),))
+    return _carrying(PolyMap(coords=coords, factors=(NagataShear(k),)), _START)
 
 
 def sheared_nagata(d: int, k: int) -> PolyMap:

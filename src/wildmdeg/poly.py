@@ -32,34 +32,40 @@ a one-term factor, or a power of one, only shifts or scales exponents and
 skips the kernel.  A square ``p * p`` of one object forms each unordered
 pair of terms once and doubles it, which halves its term products.
 
-Powers take one of two exact methods.  When the exponent vectors of the
+Powers take one of four exact methods.  When the exponent vectors of the
 base are affinely independent (every monomial and binomial, and
 trinomials such as y^2 + x*z + x^4), each term of the multinomial
 expansion is a distinct monomial, so the expansion is written out
-directly and the work equals the output size.  Every other base A is
-raised by J.C.P. Miller's power-series recurrence (Knuth, TAOCP Vol. 2,
-4.7), which builds the weighted homogeneous components of A^n upward
-from the power of A's lowest one, each divided exactly by an integer
-multiple of that lowest term: about |A|*|A^n| term products.  The
-recurrence holds for any positive integer weight whose lowest part of A
-is one term.  The weight is the total degree when A's lowest total
-degree part is one term, as for every coordinate the wild maps raise to
-a power; otherwise it is (s^2, s, 1), with s one more than A's largest
-exponent, under which every term of A has its own degree.
+directly and the work equals the output size; each row of binomial
+coefficients is built incrementally, C(r, j+1) = C(r, j)*(r - j)/(j + 1).
+The outputs of a Nagata shear on monomial inputs, such as
+a = z + 2y*t - x*t^2 with t = q^k and q = y^2 + x*z, are dependent over
+(x, y, z) but keep their few-term form over (x, y, z, t); a power of one
+is expanded over those four variables by the multinomial theorem, and t
+is substituted once at the end, each t-degree m multiplied by q^(k*m).
+A square of any other base forms each unordered pair of its terms once.
+Every other base A is raised by J.C.P. Miller's power-series recurrence
+(Knuth, TAOCP Vol. 2, 4.7), which builds the weighted homogeneous
+components of A^n upward from the power of A's lowest one, each divided
+exactly by an integer multiple of that lowest term: about |A|*|A^n| term
+products.  The recurrence holds for any positive integer weight whose
+lowest part of A is one term.  The weight is the total degree when A's
+lowest total degree part is one term, as for every coordinate the wild
+maps raise to a power; otherwise it is (s^2, s, 1), with s one more than
+A's largest exponent, under which every term of A has its own degree.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
 occur in the polynomial.  For images off the multinomial path it keeps
 those powers in a private memo on the image itself, so a later
 substitution into the same (immutable) image reuses them instead of
-recomputing them.  The memo lives and dies with its polynomial and takes
-no part in equality or hashing.
+recomputing them.  The memo, like a shear output's form over t, lives
+and dies with its polynomial and takes no part in equality or hashing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import comb
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 Term = Tuple[int, int, int]
@@ -163,7 +169,9 @@ class Polynomial:
     # off the multinomial path (None until first used)
     # _fractions: True exactly when some coefficient is a Fraction; integral
     # coefficients are always stored as ints
-    __slots__ = ("_terms", "_hash", "_powers", "_fractions")
+    # _t_form: None, or the form (terms, quadric, k) that `_over_t` built
+    # this polynomial from, for `_packed_powers`
+    __slots__ = ("_terms", "_hash", "_powers", "_fractions", "_t_form")
 
     def __init__(self, terms: Optional[Mapping[Term, Coeff]] = None):
         clean: dict = {}
@@ -179,6 +187,7 @@ class Polynomial:
         self._hash = None
         self._powers = None
         self._fractions = fractions
+        self._t_form = None
 
     @classmethod
     def _raw(cls, terms: dict, fractions: bool) -> "Polynomial":
@@ -202,6 +211,7 @@ class Polynomial:
         poly._hash = None
         poly._powers = None
         poly._fractions = fractions
+        poly._t_form = None
         return poly
 
     @classmethod
@@ -513,32 +523,37 @@ def _accumulate_square(out: dict, a: PackedTerms) -> None:
             out[k] = get(k, 0) + ca * cb
 
 
-def _affinely_independent(terms: dict) -> bool:
-    """True when the exponent vectors of ``terms`` are affinely independent.
+def _affinely_independent(points) -> bool:
+    """True when the exponent vectors ``points`` (a nonempty collection of
+    equal-length tuples) are affinely independent.
 
     Then distinct multinomial exponent tuples (k_i) with sum k_i = n give
     distinct monomials sum k_i * v_i, so no two terms of a power merge.
     """
-    if len(terms) > 4:
+    if len(points) > len(next(iter(points))) + 1:
         return False
-    points = list(terms)
-    if len(points) <= 2:
-        return True
-    o0, o1, o2 = points[0]
-    (a0, a1, a2), (b0, b1, b2), *rest = [
-        (p0 - o0, p1 - o1, p2 - o2) for p0, p1, p2 in points[1:]
-    ]
-    cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    if not rest:
-        return cross != (0, 0, 0)
-    c0, c1, c2 = rest[0]
-    return cross[0] * c0 + cross[1] * c1 + cross[2] * c2 != 0
+    origin, *others = points
+    rows = [[p - o for p, o in zip(point, origin)] for point in others]
+    # fraction-free elimination: each row's first nonzero entry is its pivot
+    # and is cleared from the rows below; a row that vanishes is dependent
+    for i, pivot in enumerate(rows):
+        column = next((j for j, e in enumerate(pivot) if e), None)
+        if column is None:
+            return False
+        p = pivot[column]
+        for r in range(i + 1, len(rows)):
+            f = rows[r][column]
+            if f:
+                rows[r] = [p * a - f * b for a, b in zip(rows[r], pivot)]
+    return True
 
 
 def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
     """``base**n`` by the multinomial theorem, for affinely independent bases.
 
     Every generated term is a distinct monomial with a nonzero coefficient.
+    Each row of binomial coefficients is built incrementally,
+    C(r, j+1) = C(r, j) * (r - j) // (j + 1).
     """
     if len(base) == 1:
         ((key, coeff),) = base
@@ -554,6 +569,7 @@ def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
     out: PackedTerms = []
 
     def expand(i: int, remaining: int, key: int, coeff: Coeff) -> None:
+        binomial = 1
         if i == last - 1:
             ki, kl = keys[i], keys[last]
             pi, pl = powers[i], powers[last]
@@ -561,20 +577,88 @@ def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
                 out.append(
                     (
                         key + j * ki + (remaining - j) * kl,
-                        coeff * comb(remaining, j) * pi[j] * pl[remaining - j],
+                        coeff * binomial * pi[j] * pl[remaining - j],
                     )
                 )
+                binomial = binomial * (remaining - j) // (j + 1)
             return
         for j in range(remaining + 1):
             expand(
                 i + 1,
                 remaining - j,
                 key + j * keys[i],
-                coeff * comb(remaining, j) * powers[i][j],
+                coeff * binomial * powers[i][j],
             )
+            binomial = binomial * (remaining - j) // (j + 1)
 
     expand(0, n, 0, 1)
     return out
+
+
+def _over_t(quadric: Polynomial, power: int, *forms: dict) -> tuple:
+    """For each nonempty form, the sum of c * x^e0 * y^e1 * z^e2 *
+    quadric^(power*m) over its items ((e0, e1, e2, m), c).
+
+    When the exponent vectors of a form over (x, y, z, t) and those of
+    ``quadric`` are affinely independent, its polynomial keeps the form
+    over t = quadric^power, from which ``_packed_powers`` raises it (see
+    ``_t_power``).  It is kept only when the polynomial holds a Fraction
+    or neither the form nor ``quadric`` does, so that the callers'
+    normal form of the powers' coefficients covers the t-route's too.
+    """
+    forms = [{term: _check_coeff(c) for term, c in form.items()} for form in forms]
+    exponents = sorted({m for form in forms for *_, m in form})
+    q_powers = dict(zip(exponents, (quadric ** (power * m) for m in exponents)))
+    keep = bool(quadric._terms) and _affinely_independent(quadric._terms)
+    results = []
+    for form in forms:
+        result = ZERO
+        for (e0, e1, e2, m), c in form.items():
+            result = result + Polynomial({(e0, e1, e2): c}) * q_powers[m]
+        integral = not quadric._fractions and not any(
+            isinstance(c, Fraction) for c in form.values()
+        )
+        if keep and (result._fractions or integral) and _affinely_independent(form):
+            result._t_form = (form, quadric, power)
+        results.append(result)
+    return tuple(results)
+
+
+def _t_power(form: tuple, n: int, width: int) -> Optional[PackedTerms]:
+    """Packed A^n for a polynomial A with the form (terms, q, k) over
+    t = q^k, or None when ``width`` cannot hold this route's exponents.
+
+    The form's terms get a fourth packed field for t, above the three of
+    x, y, z.  They are affinely independent over (x, y, z, t), so A^n over
+    t is a multinomial expansion.  Then t is substituted once: the terms
+    of each t-degree m are multiplied by the packed multinomial q^(k*m).
+    """
+    terms, quadric, power = form
+    # the largest exponent of any term of this route, per variable
+    q_max = [max(t[i] for t in quadric._terms) for i in range(3)]
+    reach = max(t[i] + power * t[3] * q_max[i] for t in terms for i in range(3))
+    if (n * reach).bit_length() > width:
+        return None
+    shift = 3 * width
+    low = (1 << shift) - 1
+    packed = [
+        ((m << shift) | (e0 << 2 * width) | (e1 << width) | e2, c)
+        for (e0, e1, e2, m), c in terms.items()
+    ]
+    groups: dict = {}
+    for key, c in _multinomial(packed, n):
+        groups.setdefault(key >> shift, []).append((key & low, c))
+    exponents = [power * m for m in sorted(groups) if m]
+    q_powers = _packed_powers(quadric, exponents, width, remember=False)
+    out: dict = {}
+    get = out.get
+    for m, group in groups.items():
+        if m:
+            _accumulate(out, group, q_powers[power * m])
+        else:
+            for key, c in group:
+                out[key] = get(key, 0) + c
+    return _pruned(out)
 
 
 def _packed_powers(
@@ -582,10 +666,12 @@ def _packed_powers(
 ) -> dict:
     """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
 
-    Affinely independent bases expand by the multinomial theorem, and
-    every other base takes ``_graded_power``.  With ``remember`` the
-    requested powers are also kept in the memo ``base._powers`` and read
-    back from it on later calls.  ``width`` must hold every exponent of
+    Affinely independent bases expand by the multinomial theorem.  Every
+    other base takes, in this order, its form over t = q^k when a shear
+    left one (``_t_power``), the symmetric square for e = 2, or
+    ``_graded_power``.  With ``remember`` the requested powers are also
+    kept in the memo ``base._powers`` and read back from it on later
+    calls.  ``width`` must hold every exponent of
     ``base**(max(exponents) + 1)``, which the graded recurrence's
     intermediate terms reach.
     """
@@ -594,21 +680,31 @@ def _packed_powers(
     step = _pack(base, width)
     if _affinely_independent(base._terms):
         return {e: _multinomial(step, e) for e in exponents}
-    parts = _graded(base, step)
     memo = base._powers if remember else None
+    parts = None
     found = {}
     for e in exponents:
         cached = memo.get(e) if memo else None
         if cached is not None:
             found[e] = _pack(cached, width)
-        elif e == 1:
+            continue
+        if e == 1:
             found[e] = step
-        else:
-            found[e] = _graded_power(parts, e, base._fractions)
-            if remember:
-                if memo is None:
-                    memo = base._powers = {}
-                memo[e] = _unpack(found[e], width, base._fractions)
+            continue
+        power = _t_power(base._t_form, e, width) if base._t_form else None
+        if power is None and e == 2:
+            out: dict = {}
+            _accumulate_square(out, step)
+            power = _pruned(out)
+        if power is None:
+            if parts is None:
+                parts = _graded(base, step)
+            power = _graded_power(parts, e, base._fractions)
+        found[e] = power
+        if remember:
+            if memo is None:
+                memo = base._powers = {}
+            memo[e] = _unpack(power, width, base._fractions)
     return found
 
 

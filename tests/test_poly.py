@@ -6,6 +6,7 @@ computed by hand and must never be regenerated from the code under test.
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -23,13 +24,16 @@ from wildmdeg import (
     Family,
     FamilyParams,
     MinusInfinity,
+    NagataShear,
     ParseError,
     Polynomial,
     compose,
     inverse,
+    nagata,
     parse,
     wild_family,
 )
+from wildmdeg import poly as kernel
 from wildmdeg.poly import _affinely_independent, _graded, _pack
 
 QUADRIC = Y * Y + X * Z
@@ -525,6 +529,105 @@ class TestPowerGrading:
         assert len(bases) == 3
         for base in bases:
             assert [count for _, count in self.components(base)] == [1] * len(base)
+
+
+class TestMultinomialRows:
+    def test_coefficients_are_multinomial(self):
+        # four affinely independent terms: both levels of the expansion
+        n = 25
+        power = (1 + X + 2 * Y - 3 * Z) ** n
+        assert len(power) == (n + 1) * (n + 2) * (n + 3) // 6
+        for (a, b, c), coeff in power.terms().items():
+            rest = n - a - b - c
+            multinomial = factorial(n) // (
+                factorial(a) * factorial(b) * factorial(c) * factorial(rest)
+            )
+            assert coeff == multinomial * 2**b * (-3) ** c
+
+    def test_affine_independence_in_four_dimensions(self):
+        # a shear's first output over (x, y, z, t) on (z, y, x) and on (x, x, x)
+        assert _affinely_independent({(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 2)})
+        assert not _affinely_independent({(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 0, 2)})
+        assert not _affinely_independent(
+            {(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 1, 1)}
+        )
+        assert _affinely_independent(
+            {(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+        )
+        assert not _affinely_independent(
+            {(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 1), (2, 1, 0, 1)}
+        )
+
+
+class TestPowerOverT:
+    """Powers of a shear's outputs on monomial inputs, raised over t = q^k."""
+
+    STARTS = [(X, Y, Z), (Z, Y, X), (2 * X, -Y, Fraction(3, 2) * Z)]
+
+    @pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 2)], ids=str)
+    @pytest.mark.parametrize("start", STARTS, ids=str)
+    def test_powers_match_the_memo_free_kernel(self, start, c):
+        for k in (1, 2):
+            first, second, _ = NagataShear(k, c).applied_to(start)
+            for output in (first, second):
+                assert output._t_form is not None
+                plain = Polynomial(output.terms())
+                assert plain._t_form is None
+                for n in range(2, 13):
+                    power = output**n
+                    assert power == plain**n
+                    assert _int_normal_form(power)
+                    substituted = (X**n * Z).substitute(output, Y, Z)
+                    assert substituted == power * Z
+                    assert _int_normal_form(substituted)
+
+    def test_t_route_leaves_out_the_graded_recurrence(self, monkeypatch):
+        first, second, _ = NagataShear(3, -1).applied_to((Z, Y, X))
+        expected = {n: Polynomial(first.terms()) ** n for n in (2, 5, 9)}
+
+        def refuse(*args):
+            raise AssertionError("graded recurrence called")
+
+        monkeypatch.setattr(kernel, "_graded_power", refuse)
+        for n, power in expected.items():
+            assert first**n == power
+        assert (X**9 + X**5 * Y).substitute(first, second, Z) == (
+            expected[9] + expected[5] * second
+        )
+
+    def test_dependent_forms_are_not_kept(self):
+        # on (x, x, x) the terms u and w*t^2 over t are collinear with v*t
+        q = 2 * X**2
+        first, second, third = NagataShear(1, 2).applied_to((X, X, X))
+        assert first._t_form is None and second._t_form is not None
+        assert first == X - 4 * X * q - 4 * X * q**2
+        assert second == X + 2 * X * q
+        assert first**3 == Polynomial(first.terms()) ** 3
+
+
+class TestSquares:
+    def test_dependent_square_is_the_symmetric_square(self, monkeypatch):
+        # lowest total degree part of two terms: no graded recurrence, and
+        # one symmetric square of n(n+1)/2 term products
+        base = Y * Y + X * Z + nagata(2).coords[0] ** 4
+        assert not _affinely_independent(base.terms())
+        expected = base * base
+        counted = []
+        square = kernel._accumulate_square
+
+        def counted_square(out, a):
+            counted.append(len(a))
+            square(out, a)
+
+        def refuse(*args):
+            raise AssertionError("graded recurrence called")
+
+        monkeypatch.setattr(kernel, "_accumulate_square", counted_square)
+        monkeypatch.setattr(kernel, "_graded_power", refuse)
+        assert base**2 == expected
+        assert (X**2 * Y).substitute(Polynomial(base.terms()), Y, Z) == expected * Y
+        assert counted == [len(base), len(base)]
 
 
 class TestPowerMemo:

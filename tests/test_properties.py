@@ -1,4 +1,4 @@
-"""Property tests of the polynomial layer, with hypothesis.
+"""Property tests of the polynomial and map layers, with hypothesis.
 
 Runs are derandomized and keep no example database, so every run tries
 the same examples and writes no files.  The tests are skipped when
@@ -15,7 +15,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from wildmdeg import ONE, X, Y, Z, Polynomial, parse  # noqa: E402
+from wildmdeg import (  # noqa: E402
+    ONE,
+    X,
+    Y,
+    Z,
+    NagataShear,
+    Polynomial,
+    Transposition,
+    Triangular,
+    maps,
+    parse,
+)
 
 REPRODUCIBLE = settings(derandomize=True, deadline=None, database=None)
 
@@ -43,3 +54,38 @@ def test_power_is_repeated_product(base, n):
 @given(polynomials(max_terms=10, max_exponent=12))
 def test_parse_inverts_str(poly):
     assert parse(str(poly)) == poly
+
+
+def shifts(variable):
+    """Shifts free of ``variable``: up to two terms of degree at most 2."""
+    index = "xyz".index(variable)
+
+    def term(exponents):
+        exponents = list(exponents)
+        exponents.insert(index, 0)
+        return tuple(exponents)
+
+    exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(term)
+    return st.dictionaries(exponents, st.integers(-3, 3), max_size=2).map(Polynomial)
+
+
+generators = st.one_of(
+    st.just(Transposition()),
+    st.sampled_from("xyz").flatmap(
+        lambda v: shifts(v).map(lambda shift: Triangular(v, shift))
+    ),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]).map(lambda c: NagataShear(1, c)),
+)
+
+
+@REPRODUCIBLE
+@given(st.lists(generators, max_size=4))
+def test_carried_quadric_is_the_quadric_of_the_fold(factors):
+    coords, carried = maps._apply_factors(factors, (X, Y, Z), maps._START)
+    if carried is not None:
+        quadric, pending = carried
+        if pending is not None:
+            multiplier, new, old = pending
+            quadric = quadric + multiplier * (new - old)
+        u, v, w = coords
+        assert quadric == v * v + u * w
