@@ -73,9 +73,9 @@ class SemigroupWitness(NamedTuple):
 
 def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
     """First (a, b) with a*d1 + b*d2 = d3, scanning b upward; None if none."""
-    for name, value in (("d1", d1), ("d2", d2), ("d3", d3)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
+    _check_int(d1, "d1", 1)
+    _check_int(d2, "d2", 1)
+    _check_int(d3, "d3", 1)
     for b in range(d3 // d2 + 1):
         remainder = d3 - b * d2
         if remainder % d1 == 0:

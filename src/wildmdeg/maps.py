@@ -17,24 +17,26 @@ Generator kinds:
     the shear (x - 2c*y*q^k - c^2*z*q^2k, y + c*z*q^k, z) along the level
     sets of the invariant quadric q = y^2 + x*z.
 
-Coordinates of a factored map are realized lazily: composing a factored
-map with another map folds the generators one at a time, which keeps the
+Coordinates of a factored map are realized lazily, by folding its
+generators one at a time onto (x, y, z); composing a factored map with
+another map folds them onto the other map's coordinates.  This keeps the
 intermediate polynomials small (crucial when verifying that high-degree
-constructions compose with their inverses to the identity).
+constructions compose with their inverses to the identity).  The
+constructors return factor-only maps, so every coordinate is built by
+the fold.
 
 The fold carries the quadric v^2 + u*w of its current coordinates
-(u, v, w), so that a shear need not recompute it.  A transposition or a
-shear leaves it unchanged.  One x- or z-shift by S adds S*w or u*S,
-which is kept pending and applied at the next shear only when that
-product is cheaper than recomputing; a y-shift, or a second shift while
-one is pending, drops the quadric.  A map built by a fold, by
-:func:`compose` or by a constructor keeps the quadric of its coordinates,
-so ``compose(inverse(f), f)`` starts from f's.  Every shear that reads a
-carried quadric first checks it against v^2 + u*w at one fixed point
-modulo the prime 2^61 - 1 (Schwartz, J. ACM 27, 1980) and raises
-``ArithmeticError`` on a mismatch, so the checks that a map composed with
-its inverse is the identity still test the shear formula itself.  The
-carried quadric takes no part in equality.
+(u, v, w) when it knows it: it starts from y^2 + x*z on (x, y, z), or
+from the inner map's quadric in :func:`compose`.  A transposition or a
+shear keeps it, and a triangular generator drops it; a shear that finds
+none computes v^2 + u*w itself.  A map built by a fold keeps the quadric
+of its coordinates, so ``compose(inverse(f), f)`` starts from f's.
+Every shear that reads a carried quadric first checks it against
+v^2 + u*w at one fixed point modulo the prime 2^61 - 1 (Schwartz,
+J. ACM 27, 1980) and raises ``ArithmeticError`` on a mismatch, so the
+checks that a map composed with its inverse is the identity still test
+the shear formula itself.  The carried quadric takes no part in
+equality.
 """
 
 from __future__ import annotations
@@ -126,11 +128,13 @@ class NagataShear:
     earlier shear was given.  In the wild maps' checks that is one term
     while v has hundreds, so the product with q^k becomes a shift.
 
-    The fold passes the quadric it carries as ``quadric``; the shear
-    checks it against v^2 + u*w at one fixed point modulo 2^61 - 1 and
-    raises ``ArithmeticError`` when they differ.  When u, v and w are
+    A quadric given as ``quadric`` is checked against v^2 + u*w at one
+    fixed point modulo 2^61 - 1, and ``ArithmeticError`` is raised when
+    they differ; without one, v^2 + u*w is computed.  When u, v and w are
     monomials, as on every fold from (x, y, z), the outputs keep their
     form over t = q^k, so that their powers are raised over (x, y, z, t).
+    This is the one place the shear formula is expanded: :func:`nagata`
+    and every factored map get their coordinates from it.
     """
 
     power: int
@@ -148,11 +152,11 @@ class NagataShear:
     def applied_to(
         self, coords: Coords, *, quadric: Optional[Polynomial] = None
     ) -> Coords:
+        return self._sheared(coords, _quadric_of(coords, quadric))
+
+    def _sheared(self, coords: Coords, quadric: Polynomial) -> Coords:
+        """The shear of ``coords``, whose v^2 + u*w is ``quadric``."""
         u, v, w = coords
-        if quadric is None:
-            quadric = v * v + u * w
-        else:
-            _check_quadric(coords, quadric)
         c = self.scale
         if len(u) == len(v) == len(w) == 1:
             ((eu, cu),) = u.terms().items()
@@ -210,76 +214,44 @@ def _residue(poly: Polynomial) -> int:
     return total % m
 
 
-def _check_quadric(coords: Coords, quadric: Polynomial) -> None:
-    """Raise ArithmeticError unless ``quadric`` agrees with v^2 + u*w at
-    ``_POINT`` modulo ``_MODULUS``, for coordinates (u, v, w)."""
+def _quadric_of(coords: Coords, carried: Optional[Polynomial]) -> Polynomial:
+    """v^2 + u*w of coordinates (u, v, w): computed when ``carried`` is
+    None, else ``carried`` once it agrees with v^2 + u*w at ``_POINT``
+    modulo ``_MODULUS``; ArithmeticError when it does not."""
+    u, v, w = coords
+    if carried is None:
+        return v * v + u * w
     try:
-        ru, rv, rw, rq = map(_residue, (*coords, quadric))
+        ru, rv, rw, rq = map(_residue, (*coords, carried))
         agrees = (rv * rv + ru * rw - rq) % _MODULUS == 0
     except ValueError:  # a denominator the modulus divides: compare exactly
-        u, v, w = coords
-        agrees = v * v + u * w == quadric
+        agrees = v * v + u * w == carried
     if not agrees:
         raise ArithmeticError("the carried quadric differs from v^2 + u*w")
+    return carried
 
 
-# The fold's carried quadric of coordinates (u, v, w) is None when unknown,
-# or (q, pending).  With pending None, v^2 + u*w is q.  Otherwise pending is
-# (multiplier, new, old): one x- or z-shift replaced the coordinate old by
-# new, and v^2 + u*w is q + multiplier * (new - old).
-_START = (INVARIANT_QUADRIC, None)
-
-
-def _carry(generator: Generator, old: Coords, new: Coords, carried):
-    """The carried quadric of ``new``, which the transposition or
-    triangular ``generator`` made from ``old``, whose carried quadric is
-    ``carried``."""
-    if carried is None or isinstance(generator, Transposition):
-        return carried
-    q, pending = carried
-    index = _VAR_INDEX[generator.variable]
-    if pending is not None or index == 1:
-        return None
-    multiplier = old[2] if index == 0 else old[0]
-    return (q, (multiplier, new[index], old[index]))
-
-
-def _read_quadric(coords: Coords, carried) -> Polynomial:
-    """v^2 + u*w of ``coords`` from their carried quadric: a pending shift
-    is applied when its product is cheaper than recomputing."""
-    u, v, w = coords
-    if carried is not None:
-        q, pending = carried
-        if pending is None:
-            return q
-        multiplier, new, old = pending
-        shift = new - old
-        recompute = len(v) * (len(v) + 1) // 2 + len(u) * len(w)
-        if len(multiplier) * len(shift) < recompute:
-            return q + multiplier * shift
-    return v * v + u * w
-
-
-def _apply_factors(factors: Sequence[Generator], coords: Coords, carried):
-    """Fold ``factors`` onto ``coords``, whose carried quadric is
-    ``carried``; returns the new coordinates and their carried quadric."""
+def _apply_factors(
+    factors: Sequence[Generator], coords: Coords, quadric: Optional[Polynomial]
+) -> Tuple[Coords, Optional[Polynomial]]:
+    """Fold ``factors`` onto ``coords``, whose v^2 + u*w is ``quadric``, or
+    None when unknown; returns the new coordinates and their quadric."""
     # factors are listed in composition order: the last one acts first
     for generator in reversed(factors):
         if isinstance(generator, NagataShear):
-            quadric = _read_quadric(coords, carried)
-            coords = generator.applied_to(coords, quadric=quadric)
-            carried = (quadric, None)
+            quadric = _quadric_of(coords, quadric)
+            coords = generator._sheared(coords, quadric)
         else:
-            new = generator.applied_to(coords)
-            carried = _carry(generator, coords, new, carried)
-            coords = new
-    return coords, carried
+            coords = generator.applied_to(coords)
+            if isinstance(generator, Triangular):
+                quadric = None
+    return coords, quadric
 
 
 class PolyMap:
     """Polynomial map of 3-space, optionally carrying its factorization."""
 
-    # _quadric: the carried quadric of the coordinates (see _apply_factors)
+    # _quadric: v^2 + u*w of the coordinates when known (see _apply_factors)
     __slots__ = ("_coords", "_factors", "_quadric")
 
     def __init__(
@@ -308,7 +280,7 @@ class PolyMap:
     def coords(self) -> Coords:
         if self._coords is None:
             self._coords, self._quadric = _apply_factors(
-                self._factors, (X, Y, Z), _START
+                self._factors, (X, Y, Z), INVARIANT_QUADRIC
             )
         return self._coords
 
@@ -359,21 +331,17 @@ def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """
     coords = inner.coords
     if outer.factors is not None:
-        coords, carried = _apply_factors(outer.factors, coords, inner._quadric)
+        coords, quadric = _apply_factors(outer.factors, coords, inner._quadric)
     else:
         cx, cy, cz = coords
         coords = tuple(c.substitute(cx, cy, cz) for c in outer.coords)
-        carried = None
+        quadric = None
     factors = None
     if outer.factors is not None and inner.factors is not None:
         factors = outer.factors + inner.factors
-    return _carrying(PolyMap(coords=coords, factors=factors), carried)
-
-
-def _carrying(map_: PolyMap, carried) -> PolyMap:
-    """``map_``, given ``carried`` as the carried quadric of its coordinates."""
-    map_._quadric = carried
-    return map_
+    composed = PolyMap(coords=coords, factors=factors)
+    composed._quadric = quadric
+    return composed
 
 
 def inverse(map_: PolyMap) -> PolyMap:
@@ -404,22 +372,17 @@ def is_identity(map_: PolyMap) -> bool:
 
 
 def identity() -> PolyMap:
-    return _carrying(PolyMap(coords=(X, Y, Z), factors=()), _START)
+    return PolyMap(factors=())
 
 
 def transposition() -> PolyMap:
     """The swap (x, y, z) -> (z, y, x)."""
-    return _carrying(PolyMap(coords=(Z, Y, X), factors=(Transposition(),)), _START)
+    return PolyMap(factors=(Transposition(),))
 
 
 def triangular(variable: str, shift: Polynomial) -> PolyMap:
     """Elementary map adding ``shift`` (free of ``variable``) to one coordinate."""
-    generator = Triangular(variable, shift)
-    coords = generator.applied_to((X, Y, Z))
-    return _carrying(
-        PolyMap(coords=coords, factors=(generator,)),
-        _carry(generator, (X, Y, Z), coords, _START),
-    )
+    return PolyMap(factors=(Triangular(variable, shift),))
 
 
 def z_shift(d: int) -> PolyMap:
@@ -429,16 +392,13 @@ def z_shift(d: int) -> PolyMap:
 
 
 def nagata(k: int) -> PolyMap:
-    """k-th power Nagata-type shear, in closed form.
+    """k-th power Nagata-type shear, the one generator ``NagataShear(k)``.
 
     Coordinates (x - 2y*q^k - z*q^2k, y + z*q^k, z) with q = y^2 + x*z;
     k = 1 is the classical Nagata automorphism, with multidegree (5, 3, 1).
     """
     _check_int(k, "k", 1)
-    q_k = INVARIANT_QUADRIC**k
-    q_2k = INVARIANT_QUADRIC ** (2 * k)
-    coords = (X - (Y * q_k) * 2 - Z * q_2k, Y + Z * q_k, Z)
-    return _carrying(PolyMap(coords=coords, factors=(NagataShear(k),)), _START)
+    return PolyMap(factors=(NagataShear(k),))
 
 
 def sheared_nagata(d: int, k: int) -> PolyMap:

@@ -114,6 +114,8 @@ class CaseReport:
 
 def family_triple(d: int, k: int) -> Tuple[int, int, int]:
     """The family triple (d, d + k(d+1), d + 2k(d+1)) of ``sheared_nagata(d, k)``."""
+    _check_int(d, "d", 1)
+    _check_int(k, "k", 1)
     return (d, d + k * (d + 1), d + 2 * k * (d + 1))
 
 

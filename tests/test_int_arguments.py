@@ -14,6 +14,7 @@ from wildmdeg import (
     default_family,
     enumerate_wild,
     exp,
+    family_triple,
     long_progression_exclusion,
     long_progression_map,
     nagata,
@@ -21,6 +22,7 @@ from wildmdeg import (
     nagata_exp,
     no_elementary_reduction_check,
     reduction_audit,
+    semigroup_member,
     sheared_nagata,
     short_progression_exclusion,
     short_progression_map,
@@ -43,6 +45,8 @@ ENTRY_POINTS = {
     "ReductionQuery": lambda v: ReductionQuery(5, 7, v, 0),
     "no_elementary_reduction_check": lambda v: no_elementary_reduction_check(6, v),
     "reduction_audit": lambda v: reduction_audit(6, v),
+    "family_triple": lambda v: family_triple(v, 1),
+    "semigroup_member": lambda v: semigroup_member(v, 4, 8),
     "short_progression_exclusion": lambda v: short_progression_exclusion(3, v),
     "long_progression_exclusion": lambda v: long_progression_exclusion(3, v),
     "FamilyParams": lambda v: FamilyParams(Family.EVEN_GT_4, 6, v),

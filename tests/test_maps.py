@@ -105,10 +105,6 @@ class TestGenerators:
         with pytest.raises(TypeError):
             triangular("z", shift)
 
-    def test_nagata_shear_matches_closed_form(self):
-        for k in (1, 2):
-            assert NagataShear(k).applied_to((X, Y, Z)) == nagata(k).coords
-
     def test_nagata_shear_inverse_round_trip(self):
         coords = (X, Y, Z)
         forward = NagataShear(2).applied_to(coords)
@@ -327,37 +323,41 @@ class TestCarriedQuadric:
         assert multidegree(map_) == (3 * 10**9 + 2, 2 * 10**9 + 1, 10**9)
         assert compose(inverse(map_), map_).is_identity()
 
+    def test_only_carried_quadrics_are_point_checked(self, monkeypatch):
+        # a shear after a triangular generator computes v^2 + u*w itself
+        # and has nothing to compare; one after a transposition reads the
+        # quadric carried from (x, y, z)
+        residue = maps._residue
+        calls = []
+
+        def counted_residue(poly):
+            calls.append(poly)
+            return residue(poly)
+
+        monkeypatch.setattr(maps, "_residue", counted_residue)
+        compose(nagata(1), z_shift(2))
+        assert calls == []
+        compose(nagata(1), transposition())
+        assert len(calls) == 4
+
     @pytest.mark.parametrize(
-        "wrong",
+        "outer, shift",
         [
-            # the shift's product taken with the other outer coordinate
-            lambda q, multiplier, other, new, old: (q, (other, new, old)),
-            # the shift subtracted instead of added
-            lambda q, multiplier, other, new, old: (q, (multiplier, old, new)),
-            # the shift's product dropped
-            lambda q, multiplier, other, new, old: (q, None),
+            ((NagataShear(1),), Triangular("z", X**2)),
+            ((NagataShear(1),), Triangular("x", Z**2)),
+            ((NagataShear(1),), Triangular("y", X * Z)),
+            ((NagataShear(1), Transposition()), Triangular("z", X**2)),
         ],
-        ids=["multiplier", "sign", "dropped"],
+        ids=["z-shift", "x-shift", "y-shift", "transposition"],
     )
-    def test_wrong_carry_rule_fails_the_point_check(self, monkeypatch, wrong):
-        carry = maps._carry
-
-        def wrong_carry(generator, old, new, carried):
-            right = carry(generator, old, new, carried)
-            if not isinstance(generator, Triangular) or right is None:
-                return right
-            q, (multiplier, shifted_new, shifted_old) = right
-            other = old[0] if multiplier is old[2] else old[2]
-            return wrong(q, multiplier, other, shifted_new, shifted_old)
-
-        monkeypatch.setattr(maps, "_carry", wrong_carry)
-        for build in (
-            lambda: sheared_nagata(3, 1),
-            lambda: compose(nagata(1), triangular("x", Z**2)),
-            lambda: compose(nagata(2), compose(transposition(), z_shift(2))),
-        ):
-            with pytest.raises(ArithmeticError):
-                build()
+    def test_wrong_carry_rule_fails_the_point_check(self, outer, shift):
+        # a carry rule that kept the quadric across a triangular generator
+        # would hand the next shear a stale one
+        inner = PolyMap(factors=(shift,))
+        inner.coords
+        inner._quadric = INVARIANT_QUADRIC
+        with pytest.raises(ArithmeticError):
+            compose(PolyMap(factors=outer), inner)
 
     @pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 2)], ids=str)
     def test_shear_preserves_the_quadric_by_full_expansion(self, c):
@@ -378,12 +378,15 @@ class TestCarriedQuadric:
     @pytest.mark.parametrize(
         "build, carries",
         [
+            (lambda: identity(), True),
             (lambda: sheared_nagata(5, 2), True),
-            (lambda: inverse(sheared_nagata(5, 2)), True),
             (lambda: short_progression_map(1, 2), True),
             (lambda: inverse(short_progression_map(1, 2)), True),
-            (lambda: compose(triangular("x", Y * Z), nagata(1)), True),
-            # a y-shift, or a second shift while one is pending, drops it
+            # a shear after a shift computes the quadric and carries it
+            (lambda: compose(nagata(1), triangular("x", Y * Z)), True),
+            # a triangular generator after the last shear drops it
+            (lambda: inverse(sheared_nagata(5, 2)), False),
+            (lambda: compose(triangular("x", Y * Z), nagata(1)), False),
             (lambda: compose(triangular("y", X * Z), nagata(1)), False),
             (lambda: compose(z_shift(2), z_shift(3)), False),
             (lambda: tame_witness(2, 3, 5, 1, 1), False),
@@ -394,7 +397,7 @@ class TestCarriedQuadric:
         coords = map_.coords
         assert (map_._quadric is not None) == carries
         if carries:
-            assert maps._read_quadric(coords, map_._quadric) == quadric_of(coords)
+            assert map_._quadric == quadric_of(coords)
         inverted = inverse(map_)
         for check in (compose(inverted, map_), compose(map_, inverted)):
             assert check.is_identity()

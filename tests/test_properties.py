@@ -21,10 +21,11 @@ from wildmdeg import (  # noqa: E402
     Y,
     Z,
     NagataShear,
+    PolyMap,
     Polynomial,
     Transposition,
     Triangular,
-    maps,
+    compose,
     parse,
 )
 
@@ -79,13 +80,18 @@ generators = st.one_of(
 
 
 @REPRODUCIBLE
-@given(st.lists(generators, max_size=4))
-def test_carried_quadric_is_the_quadric_of_the_fold(factors):
-    coords, carried = maps._apply_factors(factors, (X, Y, Z), maps._START)
-    if carried is not None:
-        quadric, pending = carried
-        if pending is not None:
-            multiplier, new, old = pending
-            quadric = quadric + multiplier * (new - old)
-        u, v, w = coords
-        assert quadric == v * v + u * w
+@given(st.lists(generators, max_size=4), st.integers(0, 4))
+def test_carried_quadric_is_the_quadric_of_the_fold(factors, split):
+    # factors are listed in composition order: those before the first shear
+    # act after the last one
+    outer, inner = factors[:split], factors[split:]
+    last_shear = next(
+        (i for i, g in enumerate(factors) if isinstance(g, NagataShear)),
+        len(factors),
+    )
+    carries = not any(isinstance(g, Triangular) for g in factors[:last_shear])
+    map_ = compose(PolyMap(factors=outer), PolyMap(factors=inner))
+    u, v, w = map_.coords
+    assert (map_._quadric is not None) == carries
+    if carries:
+        assert map_._quadric == v * v + u * w

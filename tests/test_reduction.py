@@ -210,6 +210,11 @@ class TestReductionAudit:
         assert family_triple(6, 1) == (6, 13, 20)
         assert family_triple(4, 3) == (4, 19, 34)
 
+    @pytest.mark.parametrize("d, k", [(0, 5), (3, 0), (-1, 1), (5, -2)])
+    def test_family_triple_validation(self, d, k):
+        with pytest.raises(ValueError):
+            family_triple(d, k)
+
     def test_document_for_6_1(self):
         audit = reduction_audit(6, 1)
         assert audit.triple == (6, 13, 20)
