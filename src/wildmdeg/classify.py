@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import gcd
-from operator import eq, gt, ne
 from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 
 from .maps import (
@@ -36,7 +35,7 @@ from .poly import X, _check_int
 from .reduction import (
     InequalityCheck,
     ReductionAudit,
-    _checks,
+    _residue_checks,
     _validate_sorted_triple,
     family_triple,
     reduction_audit,
@@ -104,14 +103,10 @@ class NonMembershipTrace:
         }
 
 
-def _progression_exclusion(
-    triple: Triple, k: int, reason: str
-) -> NonMembershipTrace:
+def _progression_exclusion(triple: Triple, k: int) -> NonMembershipTrace:
     """Why d3 is not in <d1, d2> for an arithmetic progression d1, d2, d3
-    whose first term d1 >= 3 is odd and coprime to k.
-
-    ``reason`` says why gcd(d1, d3 - d2) == gcd(d1, k).
-    """
+    whose first term d1 >= 3 is odd and coprime to k: one residue row for
+    each b <= d3 // d2."""
     d1, d2, d3 = triple
     _check_int(d1, "r", 3)
     _check_int(k, "k", 1)
@@ -119,34 +114,18 @@ def _progression_exclusion(
         raise ValueError("r must be odd")
     if gcd(d1, k) != 1:
         raise ValueError(f"need gcd(r, k) = 1, got gcd = {gcd(d1, k)}")
-    step = d3 - d2
-    found = semigroup_member(d1, d2, d3)
-    steps = _checks([
-        ("gcd(d1, d2) == gcd(d1, d3 - d2)", gcd(d1, d2), eq, gcd(d1, step)),
-        (f"gcd(d1, d3 - d2) == gcd(d1, k) since {reason}",
-         gcd(d1, step), eq, gcd(d1, k)),
-        ("gcd(d1, k) == 1", gcd(d1, k), eq, 1),
-        ("2*d2 > d3, so any a*d1 + b*d2 = d3 has b <= 1", 2 * d2, gt, d3),
-        ("(d3 - d2) mod d1 != 0, so b = 1 fails", step % d1, ne, 0),
-        ("d3 mod d1 != 0, so b = 0 fails", d3 % d1, ne, 0),
-        ("representations a*d1 + b*d2 of d3 found by the scan == 0",
-         0 if found is None else 1, eq, 0),
-    ])
+    steps = _residue_checks(triple, 2, 0, 1, d3 // d2 + 1)
     return NonMembershipTrace((d1, d2), d3, steps)
 
 
 def short_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
     """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
-    return _progression_exclusion(
-        (r, r + 2 * k, r + 4 * k), k, "d3 - d2 = 2*k and d1 is odd"
-    )
+    return _progression_exclusion((r, r + 2 * k, r + 4 * k), k)
 
 
 def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
     """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
-    return _progression_exclusion(
-        family_triple(r, k), k, "d3 - d2 = k*(d1 + 1) and gcd(d1, d1 + 1) = 1"
-    )
+    return _progression_exclusion(family_triple(r, k), k)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ other two coordinates.  A Shestakov–Umirbaev-style inequality bounds
 deg G(f, g) from below in terms of deg f, deg g, the y-degree split of G
 (q, r) and a lower bound on the degree of the Poisson-type bracket [f, g].
 
-This module packages those bounds as executable inequality checks: for
-the even-degree map family with multidegree (d, d+k(d+1), d+2k(d+1)) it
-audits every inequality and gcd fact needed to exclude an elementary
-reduction of each coordinate, taking the q >= 1 degree floors from
-:func:`su_lower_bound`, and separately checks the parity/ratio
-conditions that exclude the delicate type-III reduction shape.
+This module packages those bounds as executable checks.  For the
+even-degree family triple (d, d+k(d+1), d+2k(d+1)) it audits each
+coordinate from the triple alone: one floor row from
+:func:`su_lower_bound` rules out q >= 1, and one residue row per
+remaining b shows the coordinate's degree is no a*d_j + b*d_l.  The odd
+families' non-membership traces (``wildmdeg.classify``) use the same
+residue rows.  It separately checks the parity/ratio conditions that
+exclude the delicate type-III reduction shape.
 :func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
 when both exclude, that audit is itself the certificate of non-tameness
 (rule R7 of the classifier).
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import eq, ge, lt
+from operator import lt, ne
 from typing import ClassVar, List, Tuple
 
 from .poly import _check_int
@@ -126,16 +128,36 @@ def _checks(rows) -> Tuple[InequalityCheck, ...]:
     )
 
 
+def _residue_checks(
+    triple, target: int, small: int, large: int, bound: int
+) -> Tuple[InequalityCheck, ...]:
+    """Rows "(d_t - b*d_l) mod d_s != 0, so b = .. fails", one for each
+    b < ``bound`` with b*d_l <= d_t, where t, s and l are the indices
+    ``target``, ``small`` and ``large`` into ``triple``.  When all hold,
+    no a >= 0 and b < ``bound`` give a*d_s + b*d_l = d_t."""
+    t, s, l = triple[target], triple[small], triple[large]
+    return _checks(
+        (f"(d{target + 1} - {b}*d{large + 1}) mod d{small + 1} != 0,"
+         f" so b = {b} fails", (t - b * l) % s, ne, 0)
+        for b in range(min(bound, t // l + 1))
+    )
+
+
+# (coordinate, i, j, l): coordinate i is reduced by G(f_j, f_l), d_j < d_l
+_CASES = (("first", 0, 1, 2), ("second", 1, 0, 2), ("third", 2, 0, 1))
+
+
 def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
-    """Per-coordinate inequality audit for the (d, d+k(d+1), d+2k(d+1)) family.
+    """Per-coordinate audit of ``family_triple(d, k)``, from the triple alone.
 
     Requires even d with d > 4, or d = 4 with odd k, and gcd(d, k) = 1.
-    Each report lists the gcd facts and inequalities that together rule
-    out an elementary reduction of that coordinate; its conclusion is
-    ``reduction_impossible`` exactly when all of them hold.  The "exact
-    q-coefficient" of the second and third coordinates is
-    :func:`su_lower_bound` at q = 1, r = 0 for the pair (d1, d3) and
-    (d1, d2) respectively.
+    Coordinate i is reduced only by some G(f_j, f_l) of degree d_i, where
+    d_j < d_l; write G's degree in f_l as q*p + b with 0 <= b < p, p the
+    :class:`ReductionQuery` ``p`` of (d_j, d_l).  The first row,
+    d_i < :func:`su_lower_bound` at q = 1, r = 0, forces q = 0, so that
+    deg G = a*d_j + b*d_l; each further row shows that d_i - b*d_l is no
+    multiple of d_j for one b < p.  The conclusion is
+    ``reduction_impossible`` exactly when all rows hold.
     """
     _check_int(d, "d", 4)
     _check_int(k, "k", 1)
@@ -145,52 +167,17 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
         raise ValueError("for d = 4 the parameter k must be odd")
     if gcd(d, k) != 1:
         raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
-    d1, d2, d3 = family_triple(d, k)
-
-    # First coordinate: G built from the degree-(d2, d3) pair.
-    first = [
-        ("gcd(d2, d3) == 1", gcd(d2, d3), eq, 1),
-        ("d1 < (d2 - 1)*(d3 - 1), so q = 0", d1, lt, (d2 - 1) * (d3 - 1)),
-        ("d1 < d3, so r = 0", d1, lt, d3),
-        ("d1 < d2, so d1 is no multiple of d2", d1, lt, d2),
-    ]
-
-    # Second coordinate: G built from the degree-(d1, d3) pair; p = d/2.
-    exact_floor = su_lower_bound(ReductionQuery(d1, d3, 1, 0))
-    middle_floor = (d - 2) * k * (d + 1) + 2
-    final_floor = k * (d + 1) + d + 2
-    second = [
-        ("gcd(d1, d3) == 2", gcd(d1, d3), eq, 2),
-        ("p = d/2 >= 2", d // 2, ge, 2),
-        ("exact q-coefficient >= (d-2)*k*(d+1) + 2",
-         exact_floor, ge, middle_floor),
-        ("(d-2)*k*(d+1) + 2 >= k*(d+1) + d + 2",
-         middle_floor, ge, final_floor),
-        ("d2 < k*(d+1) + d + 2, so q = 0", d2, lt, final_floor),
-        ("d2 < d3, so r = 0", d2, lt, d3),
-        ("gcd(d1, d2) == 1", gcd(d1, d2), eq, 1),
-        ("1 < d1, so d2 is no multiple of d1", 1, lt, d1),
-    ]
-
-    # Third coordinate: G built from the degree-(d1, d2) pair; p = d.
-    exact_floor_3 = su_lower_bound(ReductionQuery(d1, d2, 1, 0))
-    floor_3 = 2 * k * (d + 1) + d + 2
-    third = [
-        ("gcd(d1, d2) == 1", gcd(d1, d2), eq, 1),
-        ("exact q-coefficient >= 2*k*(d+1) + d + 2",
-         exact_floor_3, ge, floor_3),
-        ("d3 < 2*k*(d+1) + d + 2, so q = 0", d3, lt, floor_3),
-        ("d3 < 2*d2, so r <= 1", d3, lt, 2 * d2),
-        ("r = 0 case: gcd(d3, d1) == 2", gcd(d3, d1), eq, 2),
-        ("r = 0 case: 2 < d1", 2, lt, d1),
-        ("r = 1 case: gcd(d3 - d2, d1) == 1", gcd(d3 - d2, d1), eq, 1),
-        ("r = 1 case: 1 < d1", 1, lt, d1),
-    ]
-    return [
-        CaseReport("first", _checks(first)),
-        CaseReport("second", _checks(second)),
-        CaseReport("third", _checks(third)),
-    ]
+    triple = family_triple(d, k)
+    reports = []
+    for coordinate, i, j, l in _CASES:
+        query = ReductionQuery(triple[j], triple[l], 1, 0)
+        floor = _checks([(
+            f"d{i + 1} < su_lower_bound(ReductionQuery(d{j + 1}, d{l + 1},"
+            f" 1, 0)), so q = 0", triple[i], lt, su_lower_bound(query)
+        )])
+        checks = floor + _residue_checks(triple, i, j, l, query.p)
+        reports.append(CaseReport(coordinate, checks))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -272,15 +259,13 @@ def reduction_audit(d: int, k: int) -> ReductionAudit:
 
 
 def _validate_sorted_triple(triple) -> Tuple[int, int, int]:
-    """The triple as a tuple; ValueError unless it is three sorted positive ints."""
+    """The triple as a tuple of three sorted positive ints: TypeError for a
+    non-int entry, ValueError for a wrong length or an unsorted triple."""
     values = tuple(triple)
-    if len(values) != 3 or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
+    if len(values) != 3:
         raise ValueError(f"a degree triple is three ints, got {triple!r}")
-    d1, d2, d3 = values
-    if d1 < 1:
-        raise ValueError("degrees must be positive")
-    if not d1 <= d2 <= d3:
+    for name, value in zip(("d1", "d2", "d3"), values):
+        _check_int(value, name, 1)
+    if not values[0] <= values[1] <= values[2]:
         raise ValueError(f"degree triple must be sorted, got {values}")
     return values

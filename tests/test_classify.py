@@ -19,6 +19,7 @@ from wildmdeg import (
     InequalityCheck,
     NonMembershipTrace,
     ReductionAudit,
+    ReductionQuery,
     SemigroupWitness,
     TameStatus,
     WildFamilyCertificate,
@@ -31,8 +32,11 @@ from wildmdeg import (
     reduction_audit,
     semigroup_member,
     short_progression_exclusion,
+    su_lower_bound,
+    type_iii_check,
     wild_family,
 )
+from wildmdeg.reduction import _residue_checks
 
 
 def brute_force_member(d1, d2, d3):
@@ -96,7 +100,7 @@ class TestExclusionTraces:
         trace = short_progression_exclusion(5, 1)
         assert trace.generators == (5, 7)
         assert trace.target == 9
-        assert len(trace.steps) == 7
+        assert len(trace.steps) == 2  # b = 0, 1; b = 2 would need 14 <= 9
         assert all(isinstance(s, InequalityCheck) for s in trace.steps)
         assert all(s.holds for s in trace.steps)
         assert trace.valid
@@ -105,7 +109,7 @@ class TestExclusionTraces:
         trace = long_progression_exclusion(3, 1)
         assert trace.generators == (3, 7)
         assert trace.target == 11
-        assert len(trace.steps) == 7
+        assert len(trace.steps) == 2
         assert trace.valid
 
     @pytest.mark.parametrize(
@@ -128,12 +132,13 @@ class TestExclusionTraces:
         assert trace.target == r + 2 * step
 
     def test_statements_carry_concrete_numbers(self):
-        # (5, 7, 9): gcd(5, 7) = gcd(5, 2) = 1, 2*7 = 14 > 9, 2 mod 5, 9 mod 5
+        # (5, 7, 9): 9 mod 5 = 4, (9 - 7) mod 5 = 2
         trace = short_progression_exclusion(5, 1)
-        assert [(s.lhs, s.rhs) for s in trace.steps] == [
-            (1, 1), (1, 1), (1, 1), (14, 9), (2, 0), (4, 0), (0, 0)
+        assert [(s.lhs, s.rhs) for s in trace.steps] == [(4, 0), (2, 0)]
+        assert [s.name for s in trace.steps] == [
+            "(d3 - 0*d2) mod d1 != 0, so b = 0 fails",
+            "(d3 - 1*d2) mod d1 != 0, so b = 1 fails",
         ]
-        assert trace.steps[0].name == "gcd(d1, d2) == gcd(d1, d3 - d2)"
 
     def test_to_dict(self):
         document = long_progression_exclusion(3, 1).to_dict()
@@ -283,7 +288,7 @@ class TestClassifyTame:
 
     @pytest.mark.parametrize(
         "bad",
-        [(3, 2, 1), (0, 1, 2), (1, 2), (1, 2, 3, 4), (1.5, 2, 3), (True, 2, 3)],
+        [(3, 2, 1), (0, 1, 2), (1, 2), (1, 2, 3, 4)],
     )
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -527,3 +532,58 @@ class TestFamilyTriplesAreCoprimeFree:
         for params in instances:
             d1, d2, d3 = params.triple()
             assert semigroup_member(d1, d2, d3) is None, params
+
+
+SOUNDNESS_MAX = 40
+
+
+def constructibly_tame_triples():
+    """Sorted triples with d3 <= SOUNDNESS_MAX and d1 | d2 or d3 in <d1, d2>.
+
+    Both are tame multidegrees by explicit triangular maps.  Membership is
+    read from one reachability table of <d1, d2> per pair.
+    """
+    for d1 in range(1, SOUNDNESS_MAX + 1):
+        for d2 in range(d1, SOUNDNESS_MAX + 1):
+            reach = [True] + [False] * SOUNDNESS_MAX
+            for n in range(1, SOUNDNESS_MAX + 1):
+                reach[n] = (n >= d1 and reach[n - d1]) or (
+                    n >= d2 and reach[n - d2]
+                )
+            for d3 in range(d2, SOUNDNESS_MAX + 1):
+                if d2 % d1 == 0 or reach[d3]:
+                    yield d1, d2, d3
+
+
+def audit_case_holds(triple, i):
+    """The reduction audit's case for coordinate i of any distinct triple,
+    built as ``no_elementary_reduction_check`` builds it for a family one."""
+    j, l = (n for n in range(3) if n != i)
+    query = ReductionQuery(triple[j], triple[l], 1, 0)
+    return triple[i] < su_lower_bound(query) and all(
+        c.holds for c in _residue_checks(triple, i, j, l, query.p)
+    )
+
+
+class TestSoundness:
+    """No verdict or audit refutes a constructibly tame triple."""
+
+    def test_tame_triples_are_never_called_not_tame(self):
+        tame = list(constructibly_tame_triples())
+        assert len(tame) > 5000
+        for triple in tame:
+            status = classify_tame(triple).status
+            assert status is not TameStatus.NOT_TAME, triple
+
+    def test_tame_triples_never_pass_the_whole_audit(self):
+        checked = 0
+        for d1, d2, d3 in constructibly_tame_triples():
+            if not d1 < d2 < d3:
+                continue
+            checked += 1
+            triple = (d1, d2, d3)
+            assert not (
+                all(audit_case_holds(triple, i) for i in range(3))
+                and type_iii_check(triple).excluded
+            ), triple
+        assert checked > 3000

@@ -367,10 +367,17 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 def test_golden_corpus(capsys, record):
     """stdout and exit code of ``python -m wildmdeg ARGV`` as captured at
     commit c7731b2, before the R7 audit, the family formula and the
-    validators were merged into one copy each.  The two ``wild-enum
-    --format json`` entries for d = 3 and d = 5 were recaptured when the
-    non-membership steps became name/lhs/rhs/holds rows; nothing outside
-    their ``exclusion.steps`` changed.  stderr is not pinned."""
+    validators were merged into one copy each.  Recaptured since, with
+    nothing outside the named rows changed:
+
+    - ``wild-enum --format json`` for d = 3 and d = 5, when the
+      non-membership steps became name/lhs/rhs/holds rows, and again when
+      they became one residue row per b (``exclusion.steps``);
+    - ``classify --format json 6 13 20`` and the three ``check-reductions``
+      entries, when each reduction case became one ``su_lower_bound``
+      floor row plus one residue row per b < p (the ``checks`` rows).
+
+    stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
 

@@ -11,6 +11,7 @@ from wildmdeg import (
     FamilyParams,
     NagataShear,
     ReductionQuery,
+    classify_tame,
     default_family,
     enumerate_wild,
     exp,
@@ -27,6 +28,7 @@ from wildmdeg import (
     short_progression_exclusion,
     short_progression_map,
     tame_witness,
+    type_iii_check,
     z_shift,
 )
 
@@ -46,6 +48,8 @@ ENTRY_POINTS = {
     "no_elementary_reduction_check": lambda v: no_elementary_reduction_check(6, v),
     "reduction_audit": lambda v: reduction_audit(6, v),
     "family_triple": lambda v: family_triple(v, 1),
+    "classify_tame": lambda v: classify_tame((v, 2, 3)),
+    "type_iii_check": lambda v: type_iii_check((6, v, 20)),
     "semigroup_member": lambda v: semigroup_member(v, 4, 8),
     "short_progression_exclusion": lambda v: short_progression_exclusion(3, v),
     "long_progression_exclusion": lambda v: long_progression_exclusion(3, v),

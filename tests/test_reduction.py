@@ -1,8 +1,8 @@
 """Unit tests for the elementary-reduction degree bounds.
 
 The numeric expectations for the (6, 13, 20) audit were computed by hand:
-  second coordinate: exact floor 36, intermediate floor 30, final floor 15;
-  third coordinate: exact floor 61, floor 22.
+  floors su_lower_bound(q = 1, r = 0): 229 for (13, 20), 36 for (6, 20)
+  and 61 for (6, 13); residues 6 mod 13, 13 mod 6, 20 mod 6 and 7 mod 6.
 """
 
 from math import gcd
@@ -108,31 +108,26 @@ class TestNoElementaryReduction:
         first, second, third = no_elementary_reduction_check(6, 1)
 
         values = [(c.lhs, c.rhs) for c in first.checks]
-        assert values == [(1, 1), (6, 228), (6, 20), (6, 13)]
+        assert values == [
+            (6, 229),  # d1 below the (d2, d3) floor, so q = 0
+            (6, 0),  # 6 mod 13: b = 0 fails, and b = 1 would need 20 <= 6
+        ]
 
         values = [(c.lhs, c.rhs) for c in second.checks]
         assert values == [
-            (2, 2),  # gcd(6, 20) = 2
-            (3, 2),  # p = 3 >= 2
-            (36, 30),  # exact q-coefficient over its floor
-            (30, 15),  # floor chain
-            (13, 15),  # d2 below the floor, so q = 0
-            (13, 20),  # d2 < d3, so r = 0
-            (1, 1),  # gcd(6, 13) = 1
-            (1, 6),  # degree 6 > 1
+            (13, 36),  # d2 below the (d1, d3) floor, so q = 0
+            (1, 0),  # 13 mod 6: b = 0 fails, and b = 1 would need 20 <= 13
         ]
 
         values = [(c.lhs, c.rhs) for c in third.checks]
         assert values == [
-            (1, 1),  # gcd(6, 13) = 1
-            (61, 22),  # exact q-coefficient over its floor
-            (20, 22),  # d3 below the floor, so q = 0
-            (20, 26),  # d3 < 2*d2, so r <= 1
-            (2, 2),  # gcd(20, 6) = 2
-            (2, 6),  # r = 0 case needs d1 > 2
-            (1, 1),  # gcd(20 - 13, 6) = 1
-            (1, 6),  # r = 1 case needs d1 > 1
+            (20, 61),  # d3 below the (d1, d2) floor, so q = 0
+            (2, 0),  # 20 mod 6: b = 0 fails
+            (1, 0),  # (20 - 13) mod 6: b = 1 fails; b = 2 would need 26 <= 20
         ]
+        assert third.checks[2].name == (
+            "(d3 - 1*d2) mod d1 != 0, so b = 1 fails"
+        )
 
     @pytest.mark.parametrize(
         "d, k",
@@ -201,7 +196,7 @@ class TestTypeThree:
             type_iii_check((0, 1, 2))
         with pytest.raises(ValueError):
             type_iii_check((1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             type_iii_check((1, 2, "3"))
 
 
@@ -231,13 +226,28 @@ class TestReductionAudit:
     def test_exact_floors_are_su_lower_bounds(self):
         for d, k in ((4, 1), (6, 1), (8, 3), (10, 7)):
             d1, d2, d3 = family_triple(d, k)
-            _, second, third = reduction_audit(d, k).cases
-            assert second.checks[2].lhs == su_lower_bound(
-                ReductionQuery(d1, d3, 1, 0)
-            )
-            assert third.checks[1].lhs == su_lower_bound(
-                ReductionQuery(d1, d2, 1, 0)
-            )
+            first, second, third = reduction_audit(d, k).cases
+            for case, pair in ((first, (d2, d3)), (second, (d1, d3)),
+                               (third, (d1, d2))):
+                assert case.checks[0].rhs == su_lower_bound(
+                    ReductionQuery(*pair, 1, 0)
+                )
+
+    def test_residue_rows_cover_every_b_below_p(self):
+        # after the floor row, row b says no a >= 0 has a*d_j + b*d_l = d_i,
+        # for each b < p that leaves a*d_j >= 0
+        for d, k in ((4, 1), (6, 1), (8, 3), (10, 7), (12, 5)):
+            triple = family_triple(d, k)
+            for i, case in enumerate(reduction_audit(d, k).cases):
+                j, l = (n for n in range(3) if n != i)
+                p = ReductionQuery(triple[j], triple[l], 0, 0).p
+                bs = [b for b in range(p) if b * triple[l] <= triple[i]]
+                assert len(case.checks) == 1 + len(bs)
+                for b, check in zip(bs, case.checks[1:]):
+                    assert check.holds is not any(
+                        a * triple[j] + b * triple[l] == triple[i]
+                        for a in range(triple[i] + 1)
+                    )
 
     def test_validation_is_the_checks(self):
         with pytest.raises(ValueError):
