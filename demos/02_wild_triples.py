@@ -33,15 +33,12 @@ def main():
     ):
         triple, result = wild_family(params)
         certificate = result.certificate
-        trace = certificate.exclusion
-        trace_note = (
-            f"non-membership trace with {len(trace.steps)} steps"
-            if trace is not None
-            else "inequality audit (see the reduction demo)"
-        )
+        note = f"proof: {certificate.proof.kind}"
+        if certificate.exclusion is not None:
+            note += f" and {len(certificate.exclusion)} non-membership rows"
         print(
             f"  {triple}: {result.status.value} by rule {result.rule_id};"
-            f" {trace_note}"
+            f" {note}"
         )
     print()
 

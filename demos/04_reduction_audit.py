@@ -10,15 +10,20 @@ bounds that contradict the triple itself.  The type-III exceptional
 shape is excluded by a parity/divisibility test.
 
 This script prints the full audit for (d, k) = (6, 1), i.e. the triple
-(6, 13, 20), and shows the degree bound su_lower_bound growing past any
-usable window.
+(6, 13, 20), shows the degree bound su_lower_bound growing past any
+usable window, and checks that the wild-family certificate of the
+triple keeps that audit as its proof.
 """
 
 from wildmdeg import (
+    Family,
+    FamilyParams,
     ReductionQuery,
     no_elementary_reduction_check,
+    reduction_audit,
     su_lower_bound,
     type_iii_check,
+    wild_family,
 )
 
 
@@ -36,7 +41,7 @@ def main():
             mark = "ok" if check.holds else "XX"
             print(
                 f"    [{mark}] {check.name}"
-                f"  (lhs = {check.lhs}, rhs = {check.rhs})"
+                f"  (lhs={check.lhs}, rhs={check.rhs})"
             )
         print(f"    -> {report.conclusion}")
     print()
@@ -48,6 +53,14 @@ def main():
     )
     print("  middle degree even:", report.condition1)
     print("  divisibility/ratio condition:", report.condition2)
+    print()
+
+    _, result = wild_family(FamilyParams(Family.EVEN_GT_4, 6, 1))
+    proof = result.certificate.proof
+    print(
+        f"wild-family certificate of {result.triple}: proof {proof.kind},"
+        f" the same audit: {proof == reduction_audit(6, 1)}"
+    )
 
 
 if __name__ == "__main__":

@@ -67,13 +67,9 @@ from .derivations import (
     nagata_exp,
 )
 from .reduction import (
-    INCONCLUSIVE,
-    REDUCTION_IMPOSSIBLE,
-    CaseReport,
     InequalityCheck,
     ReductionAudit,
     ReductionQuery,
-    TypeThreeReport,
     family_triple,
     no_elementary_reduction_check,
     reduction_audit,
@@ -81,16 +77,10 @@ from .reduction import (
     type_iii_check,
 )
 from .classify import (
-    Certificate,
-    CitationCertificate,
     Classification,
     Family,
     FamilyParams,
-    NonMembershipTrace,
-    SemigroupWitness,
     TameStatus,
-    WildFamilyCertificate,
-    WitnessCertificate,
     classify_tame,
     default_family,
     enumerate_wild,
@@ -145,29 +135,19 @@ __all__ = [
     "nagata_derivation",
     "nagata_exp",
     # reduction
-    "CaseReport",
-    "INCONCLUSIVE",
     "InequalityCheck",
-    "REDUCTION_IMPOSSIBLE",
     "ReductionAudit",
     "ReductionQuery",
-    "TypeThreeReport",
     "family_triple",
     "no_elementary_reduction_check",
     "reduction_audit",
     "su_lower_bound",
     "type_iii_check",
     # classify
-    "Certificate",
-    "CitationCertificate",
     "Classification",
     "Family",
     "FamilyParams",
-    "NonMembershipTrace",
-    "SemigroupWitness",
     "TameStatus",
-    "WildFamilyCertificate",
-    "WitnessCertificate",
     "classify_tame",
     "default_family",
     "enumerate_wild",

@@ -3,16 +3,17 @@
 Given a sorted triple ``1 <= d1 <= d2 <= d3`` that occurs as the
 multidegree of a polynomial automorphism of 3-space, :func:`classify_tame`
 decides whether some *tame* automorphism realizes the same triple.  Every
-verdict ships a machine-checkable certificate: an explicit tame witness
-map, a semigroup identity (:class:`SemigroupWitness`), an inequality
-audit excluding elementary reductions (``ReductionAudit``), or — where the
-verdict rests on a known characterization that yields no small witness —
-a citation record stating the fact used.
+verdict ships a machine-checkable certificate: the factor tokens of an
+explicit tame witness map, a semigroup identity (``SemigroupWitness``),
+an inequality audit excluding elementary reductions (``ReductionAudit``),
+or — where the verdict rests on a known characterization that yields no
+small witness — a citation record stating the fact used.
 
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
-them, drawn from four parametric families; the odd families' certificates
-carry a :class:`NonMembershipTrace` of the same check rows as that audit.
+them, drawn from four parametric families.  A family certificate keeps
+the classifier's own certificate as its ``proof``; the odd families add
+their ``exclusion``, the residue rows that show d3 is not in <d1, d2>.
 """
 
 from __future__ import annotations
@@ -82,31 +83,10 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class NonMembershipTrace:
-    """Checked argument that ``target`` is not in <g1, g2>; valid if all steps hold."""
-
-    generators: Tuple[int, int]
-    target: int
-    steps: Tuple[InequalityCheck, ...]
-
-    @property
-    def valid(self) -> bool:
-        return all(s.holds for s in self.steps)
-
-    def to_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "target": self.target,
-            "steps": [s.to_dict() for s in self.steps],
-            "valid": self.valid,
-        }
-
-
-def _progression_exclusion(triple: Triple, k: int) -> NonMembershipTrace:
+def _progression_exclusion(triple: Triple, k: int) -> Tuple[InequalityCheck, ...]:
     """Why d3 is not in <d1, d2> for an arithmetic progression d1, d2, d3
     whose first term d1 >= 3 is odd and coprime to k: one residue row for
-    each b <= d3 // d2."""
+    each b <= d3 // d2; the argument holds when every row holds."""
     d1, d2, d3 = triple
     _check_int(d1, "r", 3)
     _check_int(k, "k", 1)
@@ -114,29 +94,28 @@ def _progression_exclusion(triple: Triple, k: int) -> NonMembershipTrace:
         raise ValueError("r must be odd")
     if gcd(d1, k) != 1:
         raise ValueError(f"need gcd(r, k) = 1, got gcd = {gcd(d1, k)}")
-    steps = _residue_checks(triple, 2, 0, 1, d3 // d2 + 1)
-    return NonMembershipTrace((d1, d2), d3, steps)
+    return _residue_checks(triple, 2, 0, 1, d3 // d2 + 1)
 
 
-def short_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
+def short_progression_exclusion(r: int, k: int) -> Tuple[InequalityCheck, ...]:
     """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
     return _progression_exclusion((r, r + 2 * k, r + 4 * k), k)
 
 
-def long_progression_exclusion(r: int, k: int) -> NonMembershipTrace:
+def long_progression_exclusion(r: int, k: int) -> Tuple[InequalityCheck, ...]:
     """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
     return _progression_exclusion(family_triple(r, k), k)
 
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """A tame map whose multidegree is the triple, given explicitly."""
+    """A tame map whose multidegree is the triple, given by its factors."""
 
     kind: ClassVar[str] = "witness_map"
     witness: PolyMap
 
     def data_dict(self) -> dict:
-        return self.witness.to_dict()
+        return {"factors": [g.token() for g in self.witness.factors]}
 
 
 @dataclass(frozen=True)
@@ -152,13 +131,15 @@ class CitationCertificate:
 
 @dataclass(frozen=True)
 class WildFamilyCertificate:
-    """Membership of the triple in a certified wild family."""
+    """Membership of the triple in a certified wild family, with the
+    classifier's certificate of non-tameness as its ``proof``."""
 
     kind: ClassVar[str] = "wild_family"
     family: str
     d: int
     k: int
-    exclusion: Optional[NonMembershipTrace]
+    exclusion: Optional[Tuple[InequalityCheck, ...]]
+    proof: Union[CitationCertificate, ReductionAudit]
 
     def data_dict(self) -> dict:
         return {
@@ -166,8 +147,11 @@ class WildFamilyCertificate:
             "d": self.d,
             "k": self.k,
             "exclusion": (
-                None if self.exclusion is None else self.exclusion.to_dict()
+                None
+                if self.exclusion is None
+                else [row.to_dict() for row in self.exclusion]
             ),
+            "proof": _certificate_document(self.proof),
         }
 
 
@@ -178,6 +162,12 @@ Certificate = Union[
     ReductionAudit,
     WildFamilyCertificate,
 ]
+
+
+def _certificate_document(certificate: Optional[Certificate]) -> dict:
+    if certificate is None:
+        return {"kind": "none"}
+    return {"kind": certificate.kind, "data": certificate.data_dict()}
 
 
 @dataclass(frozen=True)
@@ -191,19 +181,11 @@ class Classification:
     realization: Optional[PolyMap] = None
 
     def to_dict(self, include_realization: bool = True) -> dict:
-        certificate: dict
-        if self.certificate is None:
-            certificate = {"kind": "none"}
-        else:
-            certificate = {
-                "kind": self.certificate.kind,
-                "data": self.certificate.data_dict(),
-            }
         document = {
             "triple": list(self.triple),
             "status": self.status.value,
             "rule_id": self.rule_id,
-            "certificate": certificate,
+            "certificate": _certificate_document(self.certificate),
         }
         if include_realization and self.realization is not None:
             document["realization"] = self.realization.to_dict()
@@ -355,8 +337,8 @@ class FamilyParams:
                 raise ValueError("family needs d = 4")
         else:  # pragma: no cover - Family is a closed enum
             raise ValueError(f"unknown family {family!r}")
-        if not _admissible(family, d, k):
-            raise ValueError("family needs gcd(d, k) = 1, or odd k for d = 4")
+        if gcd(d, k) != 1:  # for d = 4: odd k
+            raise ValueError("family needs gcd(d, k) = 1")
 
     def triple(self) -> Triple:
         d, k = self.d, self.k
@@ -372,7 +354,7 @@ class FamilyParams:
             return long_progression_map(d, k)
         return sheared_nagata(d, k)
 
-    def exclusion(self) -> Optional[NonMembershipTrace]:
+    def exclusion(self) -> Optional[Tuple[InequalityCheck, ...]]:
         if self.family is Family.ODD_1_MOD_4:
             return short_progression_exclusion(self.d, self.k)
         if self.family is Family.ODD_GENERAL:
@@ -386,8 +368,8 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
     Builds the witness automorphism, checks that its sorted multidegree is
     the family triple, checks that the classifier refutes tameness, and
     returns the triple with a classification whose certificate records the
-    family data (including, for the odd families, the checked semigroup
-    non-membership trace).
+    family data, the classifier's certificate as its proof and, for the
+    odd families, the checked semigroup non-membership rows.
     """
     triple = params.triple()
     witness = params.witness()
@@ -403,12 +385,14 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
             f" got {classification.status.value}"
         )
     exclusion = params.exclusion()
-    if exclusion is not None and not exclusion.valid:
-        raise AssertionError(
-            f"non-membership trace for {triple} failed a step"
-        )
+    if exclusion is not None and not all(row.holds for row in exclusion):
+        raise AssertionError(f"non-membership row for {triple} fails")
     certificate = WildFamilyCertificate(
-        params.family.value, params.d, params.k, exclusion
+        params.family.value,
+        params.d,
+        params.k,
+        exclusion,
+        classification.certificate,
     )
     return triple, replace(
         classification, certificate=certificate, realization=witness
@@ -427,12 +411,6 @@ def default_family(d: int) -> Family:
     return Family.ODD_GENERAL
 
 
-def _admissible(family: Family, d: int, k: int) -> bool:
-    if family is Family.D_EQUALS_4:
-        return k % 2 == 1
-    return gcd(d, k) == 1
-
-
 def enumerate_wild(d: int, count: int) -> List[Classification]:
     """First ``count`` certified wild triples with smallest degree ``d``.
 
@@ -446,7 +424,7 @@ def enumerate_wild(d: int, count: int) -> List[Classification]:
     k = 0
     while len(results) < count:
         k += 1
-        if not _admissible(family, d, k):
+        if gcd(d, k) != 1:
             continue
         _, classification = wild_family(FamilyParams(family, d, k))
         results.append(classification)

@@ -35,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .classify import (
-    Classification,
     TameStatus,
     classify_tame,
     enumerate_wild,
@@ -205,38 +204,43 @@ def _map_lines(map_: PolyMap, heading: str = "coordinates") -> List[str]:
     return lines
 
 
-def _certificate_lines(result: Classification) -> List[str]:
-    certificate = result.certificate
-    if certificate is None:
-        return ["certificate: none"]
-    lines = [f"certificate: {certificate.kind}"]
-    kind = certificate.kind
-    if kind == "witness_map":
-        lines[0] += " (see realization below)"
-    elif kind == "semigroup_witness":
-        d1, d2, d3 = result.triple
-        lines.append(
-            f"  {d3} = {certificate.a}*{d1} + {certificate.b}*{d2}"
-        )
-    elif kind == "citation":
-        lines.append(f"  {certificate.statement}")
-    elif kind == "reduction_exclusion":
-        for case in certificate.cases:
-            lines.append(f"  case {case.coordinate}: {case.conclusion}")
-        verdict = "excluded" if certificate.type_iii.excluded else "possible"
-        lines.append(f"  type-III shape: {verdict}")
-    elif kind == "wild_family":
-        lines.append(
-            f"  family={certificate.family} d={certificate.d}"
-            f" k={certificate.k}"
-        )
-        if certificate.exclusion is not None:
-            trace = certificate.exclusion
-            state = "valid" if trace.valid else "INVALID"
-            lines.append(
-                f"  non-membership trace: {state}"
-                f" ({len(trace.steps)} steps)"
-            )
+def _scalar(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(_scalar(v) for v in value) + "]"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _document_lines(node, indent: str = "") -> List[str]:
+    """Text of a JSON document: a check row on one line, ``[ok|XX] name
+    (lhs=.., rhs=..)``; any other key as ``key: value`` in sorted order,
+    lists of scalars inline, nested values indented below their key and
+    each dict of a list marked with ``-``."""
+    if isinstance(node, list):
+        lines = []
+        for item in node:
+            if "holds" in item:
+                lines += _document_lines(item, indent)
+            else:
+                block = _document_lines(item, indent + "  ")
+                block[0] = f"{indent}- {block[0].lstrip()}"
+                lines += block
+        return lines
+    if "holds" in node:
+        mark = "ok" if node["holds"] else "XX"
+        return [
+            f"{indent}[{mark}] {node['name']}"
+            f"  (lhs={node['lhs']}, rhs={node['rhs']})"
+        ]
+    lines = []
+    for key in sorted(node):
+        value = node[key]
+        if isinstance(value, dict) or (
+            isinstance(value, list) and any(isinstance(v, dict) for v in value)
+        ):
+            lines.append(f"{indent}{key}:")
+            lines += _document_lines(value, indent + "  ")
+        else:
+            lines.append(f"{indent}{key}: {_scalar(value)}")
     return lines
 
 
@@ -249,7 +253,9 @@ def _run_classify(args) -> int:
         status = result.status.value.replace("_", " ")
         rule = f"  [rule {result.rule_id}]" if result.rule_id else ""
         print(f"triple ({d1}, {d2}, {d3}): {status}{rule}")
-        for line in _certificate_lines(result):
+        certificate = result.to_dict(include_realization=False)["certificate"]
+        print(f"certificate: {certificate['kind']}")
+        for line in _document_lines(certificate.get("data", {}), "  "):
             print(line)
         if result.realization is not None:
             for line in _map_lines(result.realization, "realization"):
@@ -333,33 +339,11 @@ def _run_wild_enum(args) -> int:
 
 def _run_check_reductions(args) -> int:
     audit = reduction_audit(args.d, args.k)
-    type_iii = audit.type_iii
     if args.format == "json":
         print(_dump(audit.to_dict()))
     else:
-        print(f"triple {audit.triple} from d={audit.d}, k={audit.k}")
-        for case in audit.cases:
-            print(f"case {case.coordinate}: {case.conclusion}")
-            for check in case.checks:
-                mark = "ok" if check.holds else "XX"
-                print(
-                    f"  [{mark}] {check.name}"
-                    f"  (lhs={check.lhs}, rhs={check.rhs})"
-                )
-        verdict = "excluded" if type_iii.excluded else "possible"
-        print(
-            f"type-III shape: {verdict} (middle-degree-even ="
-            f" {type_iii.condition1}, divisibility/ratio ="
-            f" {type_iii.condition2})"
-        )
-        print(
-            "result: "
-            + (
-                "no elementary reduction exists"
-                if audit.excluded
-                else "NOT fully excluded"
-            )
-        )
+        for line in _document_lines(audit.to_dict()):
+            print(line)
     return 0 if audit.excluded else 1
 
 
@@ -433,14 +417,14 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
         for k in _range_or_single(args.k, args.kmax):
             if gcd(r, k) != 1:
                 continue
-            short = short_progression_exclusion(r, k)
-            checks.append(
-                (f"short-progression exclusion valid, r={r}, k={k}", short.valid)
-            )
-            long_ = long_progression_exclusion(r, k)
-            checks.append(
-                (f"long-progression exclusion valid, r={r}, k={k}", long_.valid)
-            )
+            for name, exclusion in (
+                ("short", short_progression_exclusion),
+                ("long", long_progression_exclusion),
+            ):
+                ok = all(row.holds for row in exclusion(r, k))
+                checks.append(
+                    (f"{name}-progression exclusion valid, r={r}, k={k}", ok)
+                )
 
 
 def _run_verify(args) -> int:

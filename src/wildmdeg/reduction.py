@@ -11,9 +11,9 @@ even-degree family triple (d, d+k(d+1), d+2k(d+1)) it audits each
 coordinate from the triple alone: one floor row from
 :func:`su_lower_bound` rules out q >= 1, and one residue row per
 remaining b shows the coordinate's degree is no a*d_j + b*d_l.  The odd
-families' non-membership traces (``wildmdeg.classify``) use the same
-residue rows.  It separately checks the parity/ratio conditions that
-exclude the delicate type-III reduction shape.
+families' exclusions (``wildmdeg.classify``) are the same residue rows.
+It separately checks the parity/ratio conditions that exclude the
+delicate type-III reduction shape.
 :func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
 when both exclude, that audit is itself the certificate of non-tameness
 (rule R7 of the classifier).
@@ -150,7 +150,7 @@ _CASES = (("first", 0, 1, 2), ("second", 1, 0, 2), ("third", 2, 0, 1))
 def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
     """Per-coordinate audit of ``family_triple(d, k)``, from the triple alone.
 
-    Requires even d with d > 4, or d = 4 with odd k, and gcd(d, k) = 1.
+    Requires even d >= 4 and gcd(d, k) = 1, so k is odd.
     Coordinate i is reduced only by some G(f_j, f_l) of degree d_i, where
     d_j < d_l; write G's degree in f_l as q*p + b with 0 <= b < p, p the
     :class:`ReductionQuery` ``p`` of (d_j, d_l).  The first row,
@@ -163,8 +163,6 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
     _check_int(k, "k", 1)
     if d % 2:
         raise ValueError("d must be even")
-    if d == 4 and k % 2 == 0:
-        raise ValueError("for d = 4 the parameter k must be odd")
     if gcd(d, k) != 1:
         raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
     triple = family_triple(d, k)

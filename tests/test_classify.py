@@ -13,17 +13,12 @@ import pytest
 
 from wildmdeg import (
     Classification,
-    CitationCertificate,
     Family,
     FamilyParams,
     InequalityCheck,
-    NonMembershipTrace,
     ReductionAudit,
     ReductionQuery,
-    SemigroupWitness,
     TameStatus,
-    WildFamilyCertificate,
-    WitnessCertificate,
     classify_tame,
     default_family,
     enumerate_wild,
@@ -35,6 +30,12 @@ from wildmdeg import (
     su_lower_bound,
     type_iii_check,
     wild_family,
+)
+from wildmdeg.classify import (
+    CitationCertificate,
+    SemigroupWitness,
+    WildFamilyCertificate,
+    WitnessCertificate,
 )
 from wildmdeg.reduction import _residue_checks
 
@@ -95,73 +96,59 @@ class TestSemigroupMember:
             semigroup_member(2, 4, -1)
 
 
+def residues(triple):
+    """(d3 - b*d2) mod d1 for every b with b*d2 <= d3."""
+    d1, d2, d3 = triple
+    return [(d3 - b * d2) % d1 for b in range(d3 // d2 + 1)]
+
+
 class TestExclusionTraces:
     def test_short_progression_shape(self):
-        trace = short_progression_exclusion(5, 1)
-        assert trace.generators == (5, 7)
-        assert trace.target == 9
-        assert len(trace.steps) == 2  # b = 0, 1; b = 2 would need 14 <= 9
-        assert all(isinstance(s, InequalityCheck) for s in trace.steps)
-        assert all(s.holds for s in trace.steps)
-        assert trace.valid
+        rows = short_progression_exclusion(5, 1)
+        assert len(rows) == 2  # b = 0, 1; b = 2 would need 14 <= 9
+        assert all(isinstance(s, InequalityCheck) for s in rows)
+        assert all(s.holds for s in rows)
 
     def test_long_progression_shape(self):
-        trace = long_progression_exclusion(3, 1)
-        assert trace.generators == (3, 7)
-        assert trace.target == 11
-        assert len(trace.steps) == 2
-        assert trace.valid
+        rows = long_progression_exclusion(3, 1)
+        assert [s.lhs for s in rows] == residues((3, 7, 11))
+        assert all(s.holds for s in rows)
 
     @pytest.mark.parametrize(
         "r, k", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 3), (9, 4), (13, 1)]
     )
     def test_short_grid_valid(self, r, k):
-        trace = short_progression_exclusion(r, k)
-        assert trace.valid
-        assert trace.generators == (r, r + 2 * k)
-        assert trace.target == r + 4 * k
+        rows = short_progression_exclusion(r, k)
+        assert all(s.holds for s in rows)
+        triple = (r, r + 2 * k, r + 4 * k)
+        assert [s.lhs for s in rows] == residues(triple)
+        assert not brute_force_member(*triple)
 
     @pytest.mark.parametrize(
         "r, k", [(3, 1), (3, 2), (5, 1), (7, 2), (9, 2), (11, 1)]
     )
     def test_long_grid_valid(self, r, k):
-        trace = long_progression_exclusion(r, k)
-        assert trace.valid
+        rows = long_progression_exclusion(r, k)
+        assert all(s.holds for s in rows)
         step = k * (r + 1)
-        assert trace.generators == (r, r + step)
-        assert trace.target == r + 2 * step
+        triple = (r, r + step, r + 2 * step)
+        assert [s.lhs for s in rows] == residues(triple)
+        assert not brute_force_member(*triple)
 
     def test_statements_carry_concrete_numbers(self):
         # (5, 7, 9): 9 mod 5 = 4, (9 - 7) mod 5 = 2
-        trace = short_progression_exclusion(5, 1)
-        assert [(s.lhs, s.rhs) for s in trace.steps] == [(4, 0), (2, 0)]
-        assert [s.name for s in trace.steps] == [
+        rows = short_progression_exclusion(5, 1)
+        assert [(s.lhs, s.rhs) for s in rows] == [(4, 0), (2, 0)]
+        assert [s.name for s in rows] == [
             "(d3 - 0*d2) mod d1 != 0, so b = 0 fails",
             "(d3 - 1*d2) mod d1 != 0, so b = 1 fails",
         ]
 
     def test_to_dict(self):
-        document = long_progression_exclusion(3, 1).to_dict()
-        assert document["generators"] == [3, 7]
-        assert document["target"] == 11
-        assert document["valid"] is True
-        assert all(
-            set(step) == {"name", "lhs", "rhs", "holds"}
-            for step in document["steps"]
-        )
-        json.dumps(document)  # must be serializable as-is
-
-    def test_from_steps_flags_failures(self):
-        trace = NonMembershipTrace(
-            (3, 7),
-            11,
-            (
-                InequalityCheck("1 < 2", 1, 2, True),
-                InequalityCheck("2 < 1", 2, 1, False),
-            ),
-        )
-        assert trace.valid is False
-        assert trace.to_dict()["valid"] is False
+        rows = [s.to_dict() for s in long_progression_exclusion(3, 1)]
+        assert rows and all(row["holds"] is True for row in rows)
+        assert all(set(row) == {"name", "lhs", "rhs", "holds"} for row in rows)
+        json.dumps(rows)  # must be serializable as-is
 
     @pytest.mark.parametrize(
         "func", [short_progression_exclusion, long_progression_exclusion]
@@ -231,6 +218,10 @@ class TestClassifyTame:
         assert isinstance(result.certificate, WitnessCertificate)
         assert result.realization is result.certificate.witness
         assert sorted(multidegree(result.realization)) == [1, 3, 5]
+        document = result.to_dict()
+        factors = ["shift(y, x^3)", "shift(z, x^5)"]
+        assert document["certificate"]["data"] == {"factors": factors}
+        assert document["realization"]["factors"] == factors
 
     def test_r8_certificate_identity(self):
         result = classify_tame((2, 3, 5))
@@ -340,8 +331,13 @@ class TestFamilyParams:
             assert tuple(sorted(multidegree(witness))) == params.triple()
 
     def test_exclusions(self):
-        assert FamilyParams(Family.ODD_1_MOD_4, 5, 1).exclusion().valid
-        assert FamilyParams(Family.ODD_GENERAL, 3, 2).exclusion().valid
+        for params in (
+            FamilyParams(Family.ODD_1_MOD_4, 5, 1),
+            FamilyParams(Family.ODD_GENERAL, 3, 2),
+        ):
+            rows = params.exclusion()
+            assert rows and all(s.holds for s in rows)
+            assert [s.lhs for s in rows] == residues(params.triple())
         assert FamilyParams(Family.EVEN_GT_4, 6, 1).exclusion() is None
         assert FamilyParams(Family.D_EQUALS_4, 4, 1).exclusion() is None
 
@@ -399,17 +395,23 @@ class TestWildFamily:
         assert certificate.kind == "wild_family"
         assert certificate.family == "odd_1_mod_4"
         assert (certificate.d, certificate.k) == (5, 2)
-        assert certificate.exclusion.valid
-        assert certificate.exclusion.generators == (5, 9)
-        assert certificate.exclusion.target == 13
+        assert certificate.exclusion == short_progression_exclusion(5, 2)
+        assert all(s.holds for s in certificate.exclusion)
+        assert certificate.proof == classify_tame(triple).certificate
+        assert certificate.proof.kind == "citation"
 
     def test_even_families_have_no_trace(self):
         for params in (
             FamilyParams(Family.EVEN_GT_4, 8, 1),
             FamilyParams(Family.D_EQUALS_4, 4, 3),
         ):
-            _, classification = wild_family(params)
+            triple, classification = wild_family(params)
             assert classification.certificate.exclusion is None
+            proof = classification.certificate.proof
+            assert proof == classify_tame(triple).certificate
+            data = classification.to_dict()["certificate"]["data"]
+            assert data["exclusion"] is None
+            assert data["proof"] == {"kind": proof.kind, "data": proof.data_dict()}
 
     def test_realization_is_attached(self):
         grid = [
@@ -429,8 +431,11 @@ class TestWildFamily:
         document = classification.to_dict()
         assert document["certificate"]["kind"] == "wild_family"
         data = document["certificate"]["data"]
-        assert set(data) == {"family", "d", "k", "exclusion"}
-        assert data["exclusion"]["valid"] is True
+        assert set(data) == {"family", "d", "k", "exclusion", "proof"}
+        assert data["exclusion"] == [
+            s.to_dict() for s in long_progression_exclusion(3, 1)
+        ]
+        assert data["proof"] == classify_tame((3, 7, 11)).to_dict()["certificate"]
         json.dumps(document)
 
 

@@ -30,7 +30,7 @@ class TestClassifyCommand:
         assert code == 0
         assert "triple (2, 4, 8): tame" in out
         assert "[rule R8]" in out
-        assert "8 = 4*2 + 0*4" in out
+        assert "certificate: semigroup_witness\n  a: 4\n  b: 0\n" in out
         assert "realization:" in out
         assert err == ""
 
@@ -51,9 +51,12 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "6", "13", "20")
         assert code == 1
         assert "certificate: reduction_exclusion" in out
-        assert "case first: reduction_impossible" in out
-        assert "case third: reduction_impossible" in out
-        assert "type-III shape: excluded" in out
+        assert "    - checks:" in out
+        assert "      coordinate: first" in out
+        assert "      coordinate: third" in out
+        assert out.count("      conclusion: reduction_impossible") == 3
+        assert "  type_iii:\n    condition1: false" in out
+        assert "    excluded: true" in out
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--format", "json", "2", "3", "5")
@@ -258,12 +261,14 @@ class TestCheckReductionsCommand:
     def test_family_instance_excluded(self, capsys):
         code, out, _ = run(capsys, "check-reductions", "--d", "6", "--k", "1")
         assert code == 0
-        assert "triple (6, 13, 20) from d=6, k=1" in out
-        assert "case first: reduction_impossible" in out
-        assert "case second: reduction_impossible" in out
-        assert "case third: reduction_impossible" in out
-        assert "type-III shape: excluded" in out
-        assert "result: no elementary reduction exists" in out
+        lines = out.splitlines()
+        assert lines[0] == "all_excluded: true"
+        assert "triple: [6, 13, 20]" in lines
+        assert "d: 6" in lines and "k: 1" in lines
+        for coordinate in ("first", "second", "third"):
+            assert f"    coordinate: {coordinate}" in lines
+        assert lines.count("    conclusion: reduction_impossible") == 3
+        assert "  excluded: true" in lines
 
     def test_json_document(self, capsys):
         code, out, _ = run(
@@ -375,7 +380,15 @@ def test_golden_corpus(capsys, record):
       they became one residue row per b (``exclusion.steps``);
     - ``classify --format json 6 13 20`` and the three ``check-reductions``
       entries, when each reduction case became one ``su_lower_bound``
-      floor row plus one residue row per b < p (the ``checks`` rows).
+      floor row plus one residue row per b < p (the ``checks`` rows);
+    - the three ``wild-enum --format json`` entries, when a family
+      certificate gained the classifier's certificate as ``proof`` and
+      its ``exclusion`` became a plain list of rows;
+    - ``classify --format json 1 2 3``, when the R1 certificate kept only
+      the factor tokens;
+    - every text ``classify`` entry with a certificate and both text
+      ``check-reductions`` entries, when text became a rendering of the
+      JSON document.
 
     stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
@@ -411,8 +424,6 @@ def _recheck(node, rows):
         return
     for value in node.values():
         _recheck(value, rows)
-    if "valid" in node:
-        assert node["valid"] is all(s["holds"] for s in node["steps"])
     if "conclusion" in node:
         holds = all(c["holds"] for c in node["checks"])
         assert node["conclusion"] == (
@@ -433,6 +444,7 @@ def _recheck(node, rows):
         ["wild-enum", "--format", "json", "--d", "3"],
         ["wild-enum", "--format", "json", "--d", "5"],
         ["wild-enum", "--format", "json", "--d", "9"],
+        ["wild-enum", "--format", "json", "--d", "6"],
         ["check-reductions", "--format", "json", "--d", "8", "--k", "3"],
         ["classify", "--format", "json", "6", "13", "20"],
     ],
@@ -443,3 +455,24 @@ def test_certificates_are_checkable_from_json_alone(capsys, argv):
     rows = []
     _recheck(json.loads(out), rows)
     assert rows and all(row["holds"] for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "6", "13", "20"],
+        ["check-reductions", "--d", "8", "--k", "3"],
+    ],
+    ids=" ".join,
+)
+def test_text_prints_every_row_of_the_json(capsys, argv):
+    _, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, argv[0], "--format", "json", *argv[1:])
+    rows = []
+    _recheck(json.loads(out), rows)
+    printed = [line for line in text.splitlines() if line.lstrip()[:1] == "["]
+    assert len(printed) == len(rows) > 0
+    for row in rows:
+        mark = "ok" if row["holds"] else "XX"
+        line = f"[{mark}] {row['name']}  (lhs={row['lhs']}, rhs={row['rhs']})"
+        assert line in text

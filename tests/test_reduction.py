@@ -10,9 +10,6 @@ from math import gcd
 import pytest
 
 from wildmdeg import (
-    INCONCLUSIVE,
-    REDUCTION_IMPOSSIBLE,
-    CaseReport,
     InequalityCheck,
     ReductionQuery,
     family_triple,
@@ -21,6 +18,7 @@ from wildmdeg import (
     su_lower_bound,
     type_iii_check,
 )
+from wildmdeg.reduction import INCONCLUSIVE, REDUCTION_IMPOSSIBLE, CaseReport
 
 
 class TestReductionQuery:
