@@ -35,8 +35,14 @@ Every shear that reads a carried quadric first checks it against
 v^2 + u*w at one fixed point modulo the prime 2^61 - 1 (Schwartz,
 J. ACM 27, 1980) and raises ``ArithmeticError`` on a mismatch, so the
 checks that a map composed with its inverse is the identity still test
-the shear formula itself.  The carried quadric takes no part in
-equality.
+the shear formula itself.  The check evaluates every term of u, v, w
+and the quadric, reading exponents from the polynomials' stored keys;
+each variable's powers are built at the exponents that occur, in
+ascending order, each from the one before by the gap, so a modular
+``pow`` runs only for gaps above 1.  Each polynomial keeps its value at
+the point, so X, Y, Z, the invariant quadric and every coordinate that
+two checks share are evaluated once.  The carried quadric takes no part
+in equality.
 """
 
 from __future__ import annotations
@@ -45,7 +51,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from .poly import Coeff, Polynomial, X, Y, Z, _VAR_INDEX, _check_int, _over_t
+from .poly import (
+    Coeff,
+    Polynomial,
+    X,
+    Y,
+    Z,
+    _VAR_INDEX,
+    _check_int,
+    _columns,
+    _over_t,
+)
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
 INVARIANT_QUADRIC = Y * Y + X * Z
@@ -88,8 +104,7 @@ class Triangular:
             raise ValueError(f"unknown variable {self.variable!r}")
         if not isinstance(self.shift, Polynomial):
             raise TypeError(f"shift must be a Polynomial, got {self.shift!r}")
-        index = _VAR_INDEX[self.variable]
-        if any(term[index] for term in self.shift.terms()):
+        if self.shift.partial(self.variable):
             raise ValueError(
                 f"triangular shift must not involve {self.variable!r}"
             )
@@ -159,14 +174,11 @@ class NagataShear:
         u, v, w = coords
         c = self.scale
         if len(u) == len(v) == len(w) == 1:
-            ((eu, cu),) = u.terms().items()
-            ((ev, cv),) = v.terms().items()
-            ((ew, cw),) = w.terms().items()
             first, second = _over_t(
                 quadric,
                 self.power,
-                {(*eu, 0): cu, (*ev, 1): -2 * c * cv, (*ew, 2): -c * c * cw},
-                {(*ev, 0): cv, (*ew, 1): c * cw},
+                ((u, 0), (v * (-2 * c), 1), (w * (-c * c), 2)),
+                ((v, 0), (w * c, 1)),
             )
             return (first, second, w)
         # each power is built on its own: a dependent quadric takes the
@@ -193,25 +205,57 @@ _GENERATOR_TYPES = (Transposition, Triangular, NagataShear)
 
 
 def _residue(poly: Polynomial) -> int:
-    """``poly`` at ``_POINT`` modulo ``_MODULUS``.
+    """``poly`` at ``_POINT`` modulo ``_MODULUS``, kept on the (immutable)
+    polynomial after its first evaluation.
 
     Raises ValueError when a denominator is divisible by the modulus.
     """
+    value = poly._point
+    if value is None:
+        value = poly._point = _evaluated(poly)
+    return value
+
+
+def _evaluated(poly: Polynomial) -> int:
+    """Every term of ``poly`` at ``_POINT`` modulo ``_MODULUS``, read from
+    its stored keys."""
     m = _MODULUS
-    terms = poly.terms()
-    if not terms:
-        return 0
-    # each variable's powers, one per exponent that occurs
+    columns = _columns(poly)
     xs, ys, zs = (
-        {e: pow(value, e, m) for e in set(exponents)}
-        for value, exponents in zip(_POINT, zip(*terms))
+        _powers_at(value, column) for value, column in zip(_POINT, columns)
     )
+    coeffs = poly._keys.values()
+    if poly._fractions:
+        coeffs = [
+            c.numerator * pow(c.denominator, -1, m) if isinstance(c, Fraction) else c
+            for c in coeffs
+        ]
     total = 0
-    for (e0, e1, e2), c in terms.items():
-        if isinstance(c, Fraction):
-            c = c.numerator * pow(c.denominator, -1, m)
+    for e0, e1, e2, c in zip(*columns, coeffs):
         total += c % m * xs[e0] * ys[e1] * zs[e2]
     return total % m
+
+
+def _powers_at(value: int, exponents: Iterable[int]) -> dict:
+    """``value**e`` modulo ``_MODULUS`` for each ``e`` of ``exponents``.
+
+    The powers are built in ascending order, each from the one before it
+    by the gap between their exponents, so ``pow`` runs only for gaps
+    above 1 and a large exponent costs one modular power, not one
+    multiplication per unit.
+    """
+    m = _MODULUS
+    table = {}
+    last, power = 0, 1
+    for e in sorted(set(exponents)):
+        gap = e - last
+        if gap == 1:
+            power = power * value % m
+        elif gap:
+            power = power * pow(value, gap, m) % m
+        table[e] = power
+        last = e
+    return table
 
 
 def _quadric_of(coords: Coords, carried: Optional[Polynomial]) -> Polynomial:

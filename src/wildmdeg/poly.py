@@ -5,10 +5,11 @@ instance and no floating point is involved anywhere.  Coefficients are
 Python ints or :class:`fractions.Fraction` values, so arithmetic is exact
 at arbitrary size.  An integral coefficient is always stored as an int.
 
-A polynomial is stored as a mapping from exponent triples ``(ex, ey, ez)``
-to nonzero coefficients.  The zero polynomial is the empty mapping, and
-its total degree is the sentinel ``MINUS_INFINITY`` (never ``-1``), which
-orders below every integer and absorbs integer addition.
+A polynomial is a mapping from exponent triples ``(ex, ey, ez)`` to
+nonzero coefficients, stored under packed keys (see "Arithmetic kernel"
+below).  The zero polynomial is the empty mapping, and its total degree
+is the sentinel ``MINUS_INFINITY`` (never ``-1``), which orders below
+every integer and absorbs integer addition.
 
 Text format, shared by :func:`parse` and ``str()``::
 
@@ -21,16 +22,24 @@ e.g. ``x - 2*y*(y^2+z*x) - z*(y^2+z*x)^2``.  Output is always the expanded
 normal form with terms in descending graded lexicographic order (total
 degree first, then x > y > z), so rendered strings are stable across runs.
 
-Arithmetic kernel.  Products, powers and substitution share one kernel
-that works on *packed keys*: the exponent triple (e0, e1, e2) becomes the
-single int ``e0 << 2w | e1 << w | e2``, so multiplying two monomials is one
-integer addition.  The field width ``w`` is taken from the largest
-exponent the result can reach, computed from the operands' maximum
-exponents, so no field ever carries into the next at any size.  Terms
-that cancel are pruned once, when a product is finished.  A product with
-a one-term factor, or a power of one, only shifts or scales exponents and
-skips the kernel.  A square ``p * p`` of one object forms each unordered
-pair of terms once and doubles it, which halves its term products.
+Arithmetic kernel.  Every polynomial stores its terms under *packed
+keys*: the exponent triple (e0, e1, e2) is the single int
+``e0 << 2w | e1 << w | e2``, so multiplying two monomials is one integer
+addition.  Each polynomial keeps its field width ``w`` and a bound on its
+exponents; ``w`` is the least multiple of 10 bits that holds that bound.
+An operation works at the widest width of its operands, widened when the
+bound of its result (the sum of the operands' bounds for a product) does
+not fit, so no field ever carries into the next at any size; only the
+keys of an operand narrower than that are repacked.  ``+``, ``*``,
+``**``, ``substitute`` and the shear's fold hand the stored maps straight
+to the kernel, and exponent triples appear only at the API boundary:
+``Polynomial(mapping)``, ``terms()``, ``coefficient()``, ``str()``,
+``hash()`` and :func:`parse`.  Equality and hashing compare values,
+whatever the widths.  Terms that cancel are pruned once, when a product
+is finished.  A product with a one-term factor, or a power of one, only
+shifts or scales exponents and skips the kernel.  A square ``p * p`` of
+one object forms each unordered pair of terms once and doubles it, which
+halves its term products.
 
 Powers take one of four exact methods.  When the exponent vectors of the
 base are affinely independent (every monomial and binomial, and
@@ -41,8 +50,9 @@ coefficients is built incrementally, C(r, j+1) = C(r, j)*(r - j)/(j + 1).
 The outputs of a Nagata shear on monomial inputs, such as
 a = z + 2y*t - x*t^2 with t = q^k and q = y^2 + x*z, are dependent over
 (x, y, z) but keep their few-term form over (x, y, z, t); a power of one
-is expanded over those four variables by the multinomial theorem, and t
-is substituted once at the end, each t-degree m multiplied by q^(k*m).
+is expanded over those four variables by the multinomial theorem, terms
+that meet added up, and t is substituted once at the end, each t-degree
+m multiplied by q^(k*m).
 A square of any other base forms each unordered pair of its terms once.
 Every other base A is raised by J.C.P. Miller's power-series recurrence
 (Knuth, TAOCP Vol. 2, 4.7), which builds the weighted homogeneous
@@ -51,8 +61,9 @@ exactly by an integer multiple of that lowest term: about |A|*|A^n| term
 products.  The recurrence holds for any positive integer weight whose
 lowest part of A is one term.  The weight is the total degree when A's
 lowest total degree part is one term, as for every coordinate the wild
-maps raise to a power; otherwise it is (s^2, s, 1), with s one more than
-A's largest exponent, under which every term of A has its own degree.
+maps raise to a power; otherwise it is (4^w, 2^w, 1), under which a
+term's degree is its own packed key, so every term of A has its own
+degree.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
 occur in the polynomial.  For images off the multinomial path it keeps
@@ -157,25 +168,37 @@ def _check_int(value: object, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
-def _grlex(term: Term) -> Tuple[int, Term]:
-    """Sort key for graded lexicographic order with x > y > z."""
+def _grlex(item: Tuple[Term, Coeff]) -> Tuple[int, Term]:
+    """Sort key of a (term, coefficient) pair for graded lexicographic
+    order with x > y > z."""
+    term = item[0]
     return (term[0] + term[1] + term[2], term)
 
 
 class Polynomial:
     """Immutable sparse polynomial in x, y, z with exact coefficients."""
 
+    # _keys: {packed key: nonzero coefficient}; x^e0*y^e1*z^e2 has the key
+    # e0 << 2w | e1 << w | e2 for the field width w = _width
+    # _top: an upper bound on every exponent, below 2^_width
     # _powers: memo {exponent: Polynomial} kept by `substitute` on images
     # off the multinomial path (None until first used)
     # _fractions: True exactly when some coefficient is a Fraction; integral
     # coefficients are always stored as ints
     # _t_form: None, or the form (terms, quadric, k) that `_over_t` built
     # this polynomial from, for `_packed_powers`
-    __slots__ = ("_terms", "_hash", "_powers", "_fractions", "_t_form")
+    # _affine: None until `_independent` caches whether the exponent
+    # vectors are affinely independent
+    # _point: None until `maps._residue` caches the value at its point
+    __slots__ = (
+        "_keys", "_width", "_top", "_hash", "_powers", "_fractions", "_t_form",
+        "_affine", "_point",
+    )
 
     def __init__(self, terms: Optional[Mapping[Term, Coeff]] = None):
         clean: dict = {}
         fractions = False
+        top = 0
         if terms:
             for term, coeff in terms.items():
                 term = _check_term(term)
@@ -183,87 +206,97 @@ class Polynomial:
                 if coeff:
                     clean[term] = coeff
                     fractions = fractions or isinstance(coeff, Fraction)
-        self._terms = clean
-        self._hash = None
-        self._powers = None
+                    top = max(top, *term)
+        width = _width(top)
+        keys = {
+            (e0 << 2 * width) | (e1 << width) | e2: c
+            for (e0, e1, e2), c in clean.items()
+        }
+        self._set(keys, width, top, fractions)
+
+    def _set(self, keys: dict, width: int, top: int, fractions: bool) -> None:
+        self._keys = keys
+        self._width = width
+        self._top = top
         self._fractions = fractions
-        self._t_form = None
+        self._hash = self._powers = self._t_form = self._affine = self._point = None
 
     @classmethod
-    def _raw(cls, terms: dict, fractions: bool) -> "Polynomial":
-        """Internal fast path: ``terms`` is already validated and zero-pruned.
+    def _raw(cls, keys: dict, width: int, top: int, fractions: bool) -> "Polynomial":
+        """Internal fast path: ``keys`` is already packed and zero-pruned.
 
-        ``fractions`` says whether an operand that produced ``terms`` held a
+        ``fractions`` says whether an operand that produced ``keys`` held a
         Fraction.  Only then can a coefficient be one, so only then are the
         terms scanned and integral Fractions turned into ints: int-only
         arithmetic pays nothing per term for the normal form.
         """
         if fractions:
             fractions = False
-            for term, coeff in terms.items():
+            for key, coeff in keys.items():
                 if isinstance(coeff, Fraction):
                     if coeff.denominator == 1:
-                        terms[term] = coeff.numerator
+                        keys[key] = coeff.numerator
                     else:
                         fractions = True
         poly = object.__new__(cls)
-        poly._terms = terms
-        poly._hash = None
-        poly._powers = None
-        poly._fractions = fractions
-        poly._t_form = None
+        poly._set(keys, width, top, fractions)
         return poly
 
     @classmethod
     def constant(cls, value: Coeff) -> "Polynomial":
         value = _check_coeff(value)
         return cls._raw(
-            {(0, 0, 0): value} if value else {}, isinstance(value, Fraction)
+            {0: value} if value else {}, _FIELD, 0, isinstance(value, Fraction)
         )
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; expected one of x, y, z")
-        exponents = [0, 0, 0]
-        exponents[_VAR_INDEX[name]] = 1
-        return cls._raw({tuple(exponents): 1}, False)
+        return cls._raw({1 << (2 - _VAR_INDEX[name]) * _FIELD: 1}, _FIELD, 1, False)
 
     # -- structure -----------------------------------------------------
 
     def terms(self) -> dict:
         """Copy of the term map (exponent triple -> coefficient)."""
-        return dict(self._terms)
+        return _decoded(self)
 
     def coefficient(self, term: Term) -> Coeff:
         """Coefficient of the given exponent triple (0 when absent)."""
-        return self._terms.get(_check_term(term), 0)
+        e0, e1, e2 = _check_term(term)
+        if max(term) > self._top:
+            return 0
+        width = self._width
+        return self._keys.get((e0 << 2 * width) | (e1 << width) | e2, 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._keys
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._keys)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._keys)
 
     def total_degree(self) -> Degree:
         """Maximal term degree; ``MINUS_INFINITY`` for the zero polynomial."""
-        if not self._terms:
+        if not self._keys:
             return MINUS_INFINITY
-        return max(ex + ey + ez for (ex, ey, ez) in self._terms)
+        return max(_degrees(self))
 
     def has_integer_coefficients(self) -> bool:
         return not self._fractions
 
     def top_form(self) -> "Polynomial":
         """Sum of the terms of maximal total degree.  Raises on zero."""
-        if not self._terms:
+        if not self._keys:
             raise ValueError("the zero polynomial has no top form")
-        degree = self.total_degree()
+        degrees = _degrees(self)
+        degree = max(degrees)
         return Polynomial._raw(
-            {t: c for t, c in self._terms.items() if t[0] + t[1] + t[2] == degree},
+            {k: c for (k, c), d in zip(self._keys.items(), degrees) if d == degree},
+            self._width,
+            self._top,
             self._fractions,
         )
 
@@ -271,35 +304,32 @@ class Polynomial:
         """Formal partial derivative with respect to ``variable``."""
         if variable not in _VAR_INDEX:
             raise ValueError(f"unknown variable {variable!r}; expected one of x, y, z")
-        index = _VAR_INDEX[variable]
+        width = self._width
+        shift = (2 - _VAR_INDEX[variable]) * width
+        mask = (1 << width) - 1
+        one = 1 << shift
         out = {}
-        for term, coeff in self._terms.items():
-            e = term[index]
+        for key, coeff in self._keys.items():
+            e = (key >> shift) & mask
             if e:
-                lowered = list(term)
-                lowered[index] = e - 1
-                out[tuple(lowered)] = coeff * e
-        return Polynomial._raw(out, self._fractions)
+                out[key - one] = coeff * e
+        return Polynomial._raw(out, width, self._top, self._fractions)
 
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(
-            {t: -c for t, c in self._terms.items()}, self._fractions
+            {k: -c for k, c in self._keys.items()},
+            self._width,
+            self._top,
+            self._fractions,
         )
 
     def __add__(self, other: object) -> "Polynomial":
         rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for term, coeff in rhs._terms.items():
-            value = out.get(term, 0) + coeff
-            if value:
-                out[term] = value
-            else:
-                out.pop(term, None)
-        return Polynomial._raw(out, self._fractions or rhs._fractions)
+        return _combined(self, rhs, 1)
 
     __radd__ = __add__
 
@@ -307,31 +337,37 @@ class Polynomial:
         rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return _combined(self, rhs, -1)
 
     def __rsub__(self, other: object) -> "Polynomial":
         rhs = _coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return _combined(rhs, self, -1)
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if not self._terms or not other._terms:
+            if not self._keys or not other._keys:
                 return ZERO
             # a monomial factor only shifts exponents: skip the kernel's set-up
-            if len(other._terms) == 1:
+            if len(other._keys) == 1:
                 return _shifted(self, other)
-            if len(self._terms) == 1:
+            if len(self._keys) == 1:
                 return _shifted(other, self)
+            top = self._top + other._top
+            width = max(self._width, other._width, _width(top))
             out: dict = {}
             if other is self:
-                width = (2 * _max_exponent(self)).bit_length()
-                _accumulate_square(out, _pack(self, width))
+                _accumulate_square(out, list(_repacked(self, width).items()))
             else:
-                width = (_max_exponent(self) + _max_exponent(other)).bit_length()
-                _accumulate(out, _pack(self, width), _pack(other, width))
-            return _unpack(out.items(), width, self._fractions or other._fractions)
+                _accumulate(
+                    out,
+                    _repacked(self, width).items(),
+                    _repacked(other, width).items(),
+                )
+            return Polynomial._raw(
+                _pruned(out), width, top, self._fractions or other._fractions
+            )
         if isinstance(other, bool):
             return NotImplemented
         if isinstance(other, (int, Fraction)):
@@ -339,7 +375,9 @@ class Polynomial:
             if not scalar:
                 return ZERO
             return Polynomial._raw(
-                {t: c * scalar for t, c in self._terms.items()},
+                {k: c * scalar for k, c in self._keys.items()},
+                self._width,
+                self._top,
                 self._fractions or isinstance(scalar, Fraction),
             )
         return NotImplemented
@@ -353,17 +391,18 @@ class Polynomial:
             raise ValueError("polynomial exponent must be non-negative")
         if exponent == 0:
             return ONE
-        if not self._terms:
-            return ZERO
-        if len(self._terms) == 1:
-            (((e0, e1, e2), c),) = self._terms.items()
-            n = exponent
+        if not self._keys or exponent == 1:
+            return self
+        top = exponent * self._top
+        if len(self._keys) == 1:
+            width = max(self._width, _width(top))
+            ((key, c),) = _repacked(self, width).items()
             return Polynomial._raw(
-                {(e0 * n, e1 * n, e2 * n): c**n}, self._fractions
+                {key * exponent: c**exponent}, width, top, self._fractions
             )
-        width = ((exponent + 1) * _max_exponent(self)).bit_length()
+        width = max(self._width, _width(_power_top(self, exponent)))
         table = _packed_powers(self, [exponent], width, remember=False)
-        return _unpack(table[exponent], width, self._fractions)
+        return Polynomial._raw(dict(table[exponent]), width, top, self._fractions)
 
     def substitute(
         self,
@@ -372,61 +411,82 @@ class Polynomial:
         z_image: "Polynomial",
     ) -> "Polynomial":
         """Evaluate at three polynomial arguments (map-composition workhorse)."""
-        if not self._terms:
+        if not self._keys:
             return ZERO
         images = (x_image, y_image, z_image)
-        used = [sorted({t[i] for t in self._terms} - {0}) for i in range(3)]
-        # the graded powers' intermediate terms reach image^(e + 1)
-        bound = sum(
-            (e[-1] + 1) * _max_exponent(img) for e, img in zip(used, images) if e
+        columns = _columns(self)
+        used = [sorted(set(column) - {0}) for column in columns]
+        top = sum(e[-1] * img._top for e, img in zip(used, images) if e)
+        width = max(
+            [_width(sum(_power_top(img, e[-1]) for e, img in zip(used, images) if e))]
+            + [img._width for e, img in zip(used, images) if e]
         )
-        width = bound.bit_length()
         tables = [
-            _packed_powers(img, e, width, remember=True)
+            _packed_powers(img, e, width, remember=True) if e else None
             for e, img in zip(used, images)
         ]
         out: dict = {}
-        for term, coeff in self._terms.items():
+        for *exponents, coeff in zip(*columns, self._keys.values()):
             # coeff * x_image^ex * y_image^ey * z_image^ez, smallest factor
             # first; a constant term multiplies the packed 1, [(0, 1)]
             factors = sorted(
-                (table[e] for table, e in zip(tables, term) if e), key=len
+                (table[e] for table, e in zip(tables, exponents) if e), key=len
             ) or [[(0, 1)]]
             head = [(0, coeff)]
             for factor in factors[:-1]:
                 partial: dict = {}
                 _accumulate(partial, head, factor)
-                head = _pruned(partial)
+                head = _pruned(partial).items()
             _accumulate(out, head, factors[-1])
         fractions = self._fractions or any(img._fractions for img in images)
-        return _unpack(out.items(), width, fractions)
+        return Polynomial._raw(_pruned(out), width, top, fractions)
 
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        if self._width == other._width:
+            return self._keys == other._keys
+        if len(self._keys) != len(other._keys):
+            return False
+        width = max(self._width, other._width)
+        return _repacked(self, width) == _repacked(other, width)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            self._hash = hash(tuple(sorted(_decoded(self).items())))
         return self._hash
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._keys:
             return "0"
         chunks = []
-        for term in sorted(self._terms, key=_grlex, reverse=True):
-            coeff = self._terms[term]
-            negative = coeff < 0
-            body = _render_term(-coeff if negative else coeff, term)
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
+        for (e0, e1, e2), coeff in sorted(
+            _decoded(self).items(), key=_grlex, reverse=True
+        ):
+            sign = "+ "
+            if coeff < 0:
+                sign, coeff = "- ", -coeff
+            powers = []
+            if e0:
+                powers.append("x" if e0 == 1 else f"x^{e0}")
+            if e1:
+                powers.append("y" if e1 == 1 else f"y^{e1}")
+            if e2:
+                powers.append("z" if e2 == 1 else f"z^{e2}")
+            if not powers:
+                body = str(coeff)
+            elif coeff == 1:
+                body = "*".join(powers)
             else:
-                chunks.append(f"- {body}" if negative else f"+ {body}")
+                body = f"{coeff}*" + "*".join(powers)
+            chunks.append(sign + body)
+        # the leading term has no space after its sign, and no '+'
+        lead = chunks[0]
+        chunks[0] = lead[2:] if lead[0] == "+" else "-" + lead[2:]
         return " ".join(chunks)
 
     def __repr__(self) -> str:
@@ -445,52 +505,110 @@ def _coerce(value: object) -> Optional[Polynomial]:
 
 # -- the packed-key kernel ---------------------------------------------------
 #
-# A packed term list is a list of (packed key, coefficient) pairs.  Every
-# packed key of one computation uses the same field width w, the bit length
-# of the largest exponent that computation can produce, so adding two keys
-# never carries from one exponent field into the next.
+# Every polynomial stores its terms under packed keys of its own field
+# width (see the module docstring).  A packed term list is a sized
+# iterable of (packed key, coefficient) pairs: a list, or the items of a
+# stored map.  All keys that one computation adds share one width, wide
+# enough for the largest exponent the computation can produce, so adding
+# two keys never carries from one exponent field into the next.
 
-PackedTerms = List[Tuple[int, Coeff]]
+PackedTerms = Iterable[Tuple[int, Coeff]]
 
-
-def _max_exponent(poly: Polynomial) -> int:
-    return max(map(max, poly._terms), default=0)
-
-
-def _pack(poly: Polynomial, width: int) -> PackedTerms:
-    shift = 2 * width
-    return [
-        ((e0 << shift) | (e1 << width) | e2, c)
-        for (e0, e1, e2), c in poly._terms.items()
-    ]
+#: Field widths are multiples of this many bits: three fields then fill
+#: whole 30-bit digits of a CPython int, and most polynomials of one
+#: computation share a width, so few keys are ever repacked.
+_FIELD = 10
 
 
-def _unpack(
-    items: Iterable[Tuple[int, Coeff]], width: int, fractions: bool
-) -> Polynomial:
-    """Polynomial of packed terms, dropping the terms that cancelled.
+def _width(top: int) -> int:
+    """The field width for exponents up to ``top``: the least positive
+    multiple of ``_FIELD`` bits that holds it."""
+    return _FIELD * max(1, -(-top.bit_length() // _FIELD))
 
-    ``fractions`` says whether an operand held a Fraction (see ``_raw``).
-    """
-    shift = 2 * width
+
+def _columns(poly: Polynomial) -> Tuple[List[int], List[int], List[int]]:
+    """The x, y and z exponents of ``poly``'s terms, in stored order: the
+    one reader of the stored keys' fields."""
+    width = poly._width
     mask = (1 << width) - 1
+    keys = poly._keys
+    return (
+        [k >> 2 * width for k in keys],
+        [(k >> width) & mask for k in keys],
+        [k & mask for k in keys],
+    )
+
+
+def _decoded(poly: Polynomial) -> dict:
+    """The term map of ``poly`` under exponent-triple keys.
+
+    The one place stored keys become tuples: only the API boundary
+    (``terms``, ``__str__``, ``__hash__``) and the affine-independence
+    test of a base of three or four terms call it.
+    """
+    return dict(zip(zip(*_columns(poly)), poly._keys.values()))
+
+
+def _degrees(poly: Polynomial) -> List[int]:
+    """The total degree of each of ``poly``'s terms, in stored order."""
+    return list(map(sum, zip(*_columns(poly))))
+
+
+def _repacked(poly: Polynomial, width: int) -> dict:
+    """``poly``'s stored map under keys of field width ``width``, which
+    must hold ``poly._top``; the stored map itself when that is its width."""
+    old = poly._width
+    if old == width:
+        return poly._keys
+    shift = 2 * old
+    mask = (1 << old) - 1
+    wide = 2 * width
+    return {
+        ((k >> shift) << wide) | (((k >> old) & mask) << width) | (k & mask): c
+        for k, c in poly._keys.items()
+    }
+
+
+def _combined(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """``a + sign*b`` for a sign of 1 or -1: a copy of the map with more
+    terms takes in the other's terms."""
+    width = max(a._width, b._width)
+    large, small = _repacked(a, width), _repacked(b, width)
+    if sign < 0:
+        small = {k: -c for k, c in small.items()}
+    if len(large) < len(small):
+        large, small = small, large
+    out = dict(large)
+    get = out.get
+    for key, coeff in small.items():
+        value = get(key, 0) + coeff
+        if value:
+            out[key] = value
+        else:
+            del out[key]
     return Polynomial._raw(
-        {(k >> shift, (k >> width) & mask, k & mask): c for k, c in items if c},
-        fractions,
+        out, width, max(a._top, b._top), a._fractions or b._fractions
     )
 
 
 def _shifted(poly: Polynomial, monomial: Polynomial) -> Polynomial:
     """``poly`` times a one-term polynomial; no two terms merge or cancel."""
-    (((m0, m1, m2), c),) = monomial._terms.items()
+    top = poly._top + monomial._top
+    width = max(poly._width, monomial._width, _width(top))
+    ((m, c),) = _repacked(monomial, width).items()
     return Polynomial._raw(
-        {(e0 + m0, e1 + m1, e2 + m2): v * c for (e0, e1, e2), v in poly._terms.items()},
+        {k + m: v * c for k, v in _repacked(poly, width).items()},
+        width,
+        top,
         poly._fractions or monomial._fractions,
     )
 
 
-def _pruned(out: dict) -> PackedTerms:
-    return [(k, c) for k, c in out.items() if c]
+def _pruned(out: dict) -> dict:
+    """``out`` without the terms that cancelled."""
+    if 0 in out.values():
+        return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _accumulate(out: dict, a: PackedTerms, b: PackedTerms) -> None:
@@ -507,7 +625,7 @@ def _accumulate(out: dict, a: PackedTerms, b: PackedTerms) -> None:
             out[k] = get(k, 0) + ca * cb
 
 
-def _accumulate_square(out: dict, a: PackedTerms) -> None:
+def _accumulate_square(out: dict, a: list) -> None:
     """Add the square of ``a`` into ``out``, like ``_accumulate(out, a, a)``.
 
     Each unordered pair of distinct terms is formed once, with its
@@ -548,12 +666,32 @@ def _affinely_independent(points) -> bool:
     return True
 
 
-def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
-    """``base**n`` by the multinomial theorem, for affinely independent bases.
+def _independent(poly: Polynomial) -> bool:
+    """Whether the exponent vectors of ``poly``'s terms are affinely
+    independent, computed once per polynomial: one or two distinct points
+    always are, and five or more points of 3-space never are."""
+    flag = poly._affine
+    if flag is None:
+        n = len(poly._keys)
+        flag = n <= 2 or (n <= 4 and _affinely_independent(_decoded(poly)))
+        poly._affine = flag
+    return flag
 
-    Every generated term is a distinct monomial with a nonzero coefficient.
-    Each row of binomial coefficients is built incrementally,
-    C(r, j+1) = C(r, j) * (r - j) // (j + 1).
+
+def _power_top(base: Polynomial, n: int) -> int:
+    """A bound on the exponents that raising ``base`` to ``n`` produces:
+    ``base**n``'s, or ``base**(n + 1)``'s for a base off the multinomial
+    path, whose graded recurrence forms intermediate terms that high."""
+    return (n if _independent(base) else n + 1) * base._top
+
+
+def _multinomial(base: PackedTerms, n: int) -> list:
+    """``base**n`` by the multinomial theorem, as a packed term list.
+
+    For an affinely independent base every generated term is a distinct
+    monomial with a nonzero coefficient; otherwise terms may repeat, and
+    the caller adds them up.  Each row of binomial coefficients is built
+    incrementally, C(r, j+1) = C(r, j) * (r - j) // (j + 1).
     """
     if len(base) == 1:
         ((key, coeff),) = base
@@ -565,86 +703,95 @@ def _multinomial(base: PackedTerms, n: int) -> PackedTerms:
         for _ in range(n - 1):
             row.append(row[-1] * c)
         powers.append(row)
-    last = len(base) - 1
-    out: PackedTerms = []
-
-    def expand(i: int, remaining: int, key: int, coeff: Coeff) -> None:
-        binomial = 1
-        if i == last - 1:
-            ki, kl = keys[i], keys[last]
-            pi, pl = powers[i], powers[last]
-            for j in range(remaining + 1):
-                out.append(
-                    (
-                        key + j * ki + (remaining - j) * kl,
-                        coeff * binomial * pi[j] * pl[remaining - j],
-                    )
-                )
-                binomial = binomial * (remaining - j) // (j + 1)
-            return
-        for j in range(remaining + 1):
-            expand(
-                i + 1,
-                remaining - j,
-                key + j * keys[i],
-                coeff * binomial * powers[i][j],
-            )
-            binomial = binomial * (remaining - j) // (j + 1)
-
-    expand(0, n, 0, 1)
+    out: list = []
+    _expand(out, keys, powers, 0, n, 0, 1)
     return out
 
 
-def _over_t(quadric: Polynomial, power: int, *forms: dict) -> tuple:
-    """For each nonempty form, the sum of c * x^e0 * y^e1 * z^e2 *
-    quadric^(power*m) over its items ((e0, e1, e2, m), c).
+def _expand(
+    out: list, keys: list, powers: list, i: int, remaining: int, key: int, coeff: Coeff
+) -> None:
+    """Append to ``out`` the multinomial terms that share the exponents of
+    the base's terms before ``i``: ``key`` and ``coeff`` are their product
+    so far, and ``remaining`` is what is left of the exponent.
 
-    When the exponent vectors of a form over (x, y, z, t) and those of
-    ``quadric`` are affinely independent, its polynomial keeps the form
-    over t = quadric^power, from which ``_packed_powers`` raises it (see
-    ``_t_power``).  It is kept only when the polynomial holds a Fraction
-    or neither the form nor ``quadric`` does, so that the callers'
-    normal form of the powers' coefficients covers the t-route's too.
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep ``out`` alive until the cyclic
+    garbage collector next runs.
     """
-    forms = [{term: _check_coeff(c) for term, c in form.items()} for form in forms]
-    exponents = sorted({m for form in forms for *_, m in form})
+    binomial = 1
+    last = len(keys) - 1
+    if i == last - 1:
+        ki, kl = keys[i], keys[last]
+        pi, pl = powers[i], powers[last]
+        for j in range(remaining + 1):
+            out.append(
+                (
+                    key + j * ki + (remaining - j) * kl,
+                    coeff * binomial * pi[j] * pl[remaining - j],
+                )
+            )
+            binomial = binomial * (remaining - j) // (j + 1)
+        return
+    for j in range(remaining + 1):
+        _expand(
+            out,
+            keys,
+            powers,
+            i + 1,
+            remaining - j,
+            key + j * keys[i],
+            coeff * binomial * powers[i][j],
+        )
+        binomial = binomial * (remaining - j) // (j + 1)
+
+
+def _over_t(quadric: Polynomial, power: int, *forms: tuple) -> tuple:
+    """For each nonempty form, the sum of monomial * quadric^(power*m)
+    over its pairs (monomial, m), each monomial a one-term polynomial.
+
+    Each polynomial keeps its form over t = quadric^power, from which
+    ``_packed_powers`` raises it (see ``_t_power``).  It is kept only when
+    the polynomial holds a Fraction or neither the form nor ``quadric``
+    does, so that the callers' normal form of the powers' coefficients
+    covers the t-route's too.
+    """
+    exponents = sorted({m for form in forms for _, m in form})
     q_powers = dict(zip(exponents, (quadric ** (power * m) for m in exponents)))
-    keep = bool(quadric._terms) and _affinely_independent(quadric._terms)
     results = []
     for form in forms:
         result = ZERO
-        for (e0, e1, e2, m), c in form.items():
-            result = result + Polynomial({(e0, e1, e2): c}) * q_powers[m]
+        for monomial, m in form:
+            result = result + monomial * q_powers[m]
         integral = not quadric._fractions and not any(
-            isinstance(c, Fraction) for c in form.values()
+            monomial._fractions for monomial, _ in form
         )
-        if keep and (result._fractions or integral) and _affinely_independent(form):
+        if result._fractions or integral:
             result._t_form = (form, quadric, power)
         results.append(result)
     return tuple(results)
 
 
-def _t_power(form: tuple, n: int, width: int) -> Optional[PackedTerms]:
+def _t_power(form: tuple, n: int, width: int) -> Optional[dict]:
     """Packed A^n for a polynomial A with the form (terms, q, k) over
     t = q^k, or None when ``width`` cannot hold this route's exponents.
 
     The form's terms get a fourth packed field for t, above the three of
-    x, y, z.  They are affinely independent over (x, y, z, t), so A^n over
-    t is a multinomial expansion.  Then t is substituted once: the terms
-    of each t-degree m are multiplied by the packed multinomial q^(k*m).
+    x, y, z, and A^n over t is their multinomial expansion, terms that
+    meet added up.  Then t is substituted once: the terms of each t-degree
+    m are multiplied by the packed q^(k*m).
     """
     terms, quadric, power = form
-    # the largest exponent of any term of this route, per variable
-    q_max = [max(t[i] for t in quadric._terms) for i in range(3)]
-    reach = max(t[i] + power * t[3] * q_max[i] for t in terms for i in range(3))
+    # the largest exponent of any term of this route
+    reach = max(monomial._top + power * m * quadric._top for monomial, m in terms)
     if (n * reach).bit_length() > width:
         return None
     shift = 3 * width
     low = (1 << shift) - 1
-    packed = [
-        ((m << shift) | (e0 << 2 * width) | (e1 << width) | e2, c)
-        for (e0, e1, e2, m), c in terms.items()
-    ]
+    packed = []
+    for monomial, m in terms:
+        ((key, c),) = _repacked(monomial, width).items()
+        packed.append(((m << shift) | key, c))
     groups: dict = {}
     for key, c in _multinomial(packed, n):
         groups.setdefault(key >> shift, []).append((key & low, c))
@@ -671,14 +818,13 @@ def _packed_powers(
     left one (``_t_power``), the symmetric square for e = 2, or
     ``_graded_power``.  With ``remember`` the requested powers are also
     kept in the memo ``base._powers`` and read back from it on later
-    calls.  ``width`` must hold every exponent of
-    ``base**(max(exponents) + 1)``, which the graded recurrence's
-    intermediate terms reach.
+    calls.  ``width`` must hold every exponent up to
+    ``_power_top(base, max(exponents))``.
     """
-    if not base._terms:
-        return {e: [] for e in exponents}
-    step = _pack(base, width)
-    if _affinely_independent(base._terms):
+    if not base._keys:
+        return {e: () for e in exponents}
+    step = _repacked(base, width).items()
+    if _independent(base):
         return {e: _multinomial(step, e) for e in exponents}
     memo = base._powers if remember else None
     parts = None
@@ -686,7 +832,7 @@ def _packed_powers(
     for e in exponents:
         cached = memo.get(e) if memo else None
         if cached is not None:
-            found[e] = _pack(cached, width)
+            found[e] = _repacked(cached, width).items()
             continue
         if e == 1:
             found[e] = step
@@ -694,40 +840,41 @@ def _packed_powers(
         power = _t_power(base._t_form, e, width) if base._t_form else None
         if power is None and e == 2:
             out: dict = {}
-            _accumulate_square(out, step)
+            _accumulate_square(out, list(step))
             power = _pruned(out)
         if power is None:
             if parts is None:
                 parts = _graded(base, step)
             power = _graded_power(parts, e, base._fractions)
-        found[e] = power
+        found[e] = power.items()
         if remember:
             if memo is None:
                 memo = base._powers = {}
-            memo[e] = _unpack(power, width, base._fractions)
+            memo[e] = Polynomial._raw(power, width, e * base._top, base._fractions)
     return found
 
 
 def _graded(base: Polynomial, packed: PackedTerms) -> list:
-    """Weighted homogeneous components of ``base``, given
-    ``packed = _pack(base, w)``, as ascending (degree, packed terms) pairs.
+    """Weighted homogeneous components of ``base``, given its terms
+    ``packed`` in stored order at some field width w, as ascending
+    (degree, packed terms) pairs.
 
     The weight is (1, 1, 1), the total degree, when the lowest total
-    degree part is one term.  Otherwise it is (s^2, s, 1) with s one more
-    than the largest exponent, which gives each term its own degree.
-    Either way the lowest component is one term.
+    degree part is one term.  Otherwise it is (4^w, 2^w, 1), under which
+    a term's degree is its own packed key, so each term has its own
+    degree.  Either way the lowest component is one term.
     """
-    degrees = [e0 + e1 + e2 for e0, e1, e2 in base._terms]
+    terms = list(packed)
+    degrees = _degrees(base)
     if degrees.count(min(degrees)) > 1:
-        s = _max_exponent(base) + 1
-        degrees = [(e0 * s + e1) * s + e2 for e0, e1, e2 in base._terms]
+        degrees = [k for k, _ in terms]
     parts: dict = {}
-    for degree, term in zip(degrees, packed):
+    for degree, term in zip(degrees, terms):
         parts.setdefault(degree, []).append(term)
     return sorted(parts.items())
 
 
-def _graded_power(parts: list, n: int, fractions: bool) -> PackedTerms:
+def _graded_power(parts: list, n: int, fractions: bool) -> dict:
     """Packed A^n by J.C.P. Miller's power recurrence along a weighted degree.
 
     ``parts`` are A's weighted homogeneous components A_i from ``_graded``;
@@ -782,21 +929,7 @@ def _graded_power(parts: list, n: int, fractions: bool) -> PackedTerms:
                 if j + step <= top and j + step not in queued:
                     queued.add(j + step)
                     heappush(queue, j + step)
-    return [term for component in power.values() for term in component]
-
-
-def _render_term(coeff: Coeff, term: Term) -> str:
-    powers = []
-    for name, e in zip(VARIABLES, term):
-        if e == 1:
-            powers.append(name)
-        elif e > 1:
-            powers.append(f"{name}^{e}")
-    if not powers:
-        return str(coeff)
-    if coeff == 1:
-        return "*".join(powers)
-    return f"{coeff}*" + "*".join(powers)
+    return {k: c for component in power.values() for k, c in component}
 
 
 ZERO = Polynomial()

@@ -12,6 +12,8 @@ import pytest
 from conftest import SEED, random_nonzero_poly
 from wildmdeg import (
     INVARIANT_QUADRIC,
+    Family,
+    FamilyParams,
     NagataShear,
     PolyMap,
     Polynomial,
@@ -34,6 +36,7 @@ from wildmdeg import (
     tame_witness,
     transposition,
     triangular,
+    wild_family,
     z_shift,
 )
 from wildmdeg import maps, poly
@@ -269,6 +272,37 @@ class TestInverse:
         assert is_identity(compose(inverse(f), f))
         assert is_identity(compose(f, inverse(f)))
         assert count[0] <= 0.05 * binary_powering_cost
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sheared_nagata(6, 29),
+            lambda: wild_family(FamilyParams(Family.ODD_1_MOD_4, 5, 3))[1].realization,
+            lambda: wild_family(FamilyParams(Family.ODD_GENERAL, 3, 2))[1].realization,
+        ],
+        ids=["sheared_nagata(6, 29)", "odd_1_mod_4 (5, 3)", "odd_general (3, 2)"],
+    )
+    def test_inverse_checks_decode_no_terms(self, monkeypatch, build):
+        # the stored packed keys are turned back into exponent triples only
+        # at the API boundary: both inverse checks, the inverse's own
+        # coordinates included, run on the stored form throughout
+        f = build()
+        f.coords
+        decoded = []
+        decode = poly._decoded
+
+        def counted_decode(p):
+            decoded.append(len(p))
+            return decode(p)
+
+        monkeypatch.setattr(poly, "_decoded", counted_decode)
+        assert is_identity(compose(inverse(f), f))
+        assert is_identity(compose(f, inverse(f)))
+        assert sum(decoded) == 0
+        # the counter sees the boundary's decoding
+        first = f.coords[0]
+        str(first)
+        assert decoded == [len(first)]
 
     @pytest.mark.parametrize("d", [3, 4, 5, 6])
     @pytest.mark.parametrize("k", [1, 2, 3])

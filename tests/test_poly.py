@@ -34,7 +34,7 @@ from wildmdeg import (
     wild_family,
 )
 from wildmdeg import poly as kernel
-from wildmdeg.poly import _affinely_independent, _graded, _pack
+from wildmdeg.poly import _affinely_independent, _graded
 
 QUADRIC = Y * Y + X * Z
 
@@ -497,7 +497,7 @@ class TestPowerGrading:
 
     @staticmethod
     def components(base):
-        parts = _graded(base, _pack(base, 32))
+        parts = _graded(base, base._keys.items())
         return [(degree, len(terms)) for degree, terms in parts]
 
     @staticmethod
@@ -596,14 +596,16 @@ class TestPowerOverT:
             expected[9] + expected[5] * second
         )
 
-    def test_dependent_forms_are_not_kept(self):
-        # on (x, x, x) the terms u and w*t^2 over t are collinear with v*t
+    def test_dependent_forms_are_raised_over_t(self):
+        # on (x, x, x) the terms u and w*t^2 over t are collinear with v*t,
+        # so terms of a power over t meet; the t-route adds them up
         q = 2 * X**2
         first, second, third = NagataShear(1, 2).applied_to((X, X, X))
-        assert first._t_form is None and second._t_form is not None
+        assert first._t_form is not None and second._t_form is not None
         assert first == X - 4 * X * q - 4 * X * q**2
         assert second == X + 2 * X * q
-        assert first**3 == Polynomial(first.terms()) ** 3
+        for n in range(2, 7):
+            assert first**n == Polynomial(first.terms()) ** n
 
 
 class TestSquares:
