@@ -325,10 +325,10 @@ def _run_wild_enum(args) -> int:
     else:
         for result in results:
             d1, d2, d3 = result.triple
-            certificate = result.certificate
+            data = result.to_dict(include_realization=False)["certificate"]["data"]
             print(
-                f"({d1}, {d2}, {d3})  family={certificate.family}"
-                f" k={certificate.k} rule={result.rule_id}"
+                f"({d1}, {d2}, {d3})  family={data['family']}"
+                f" k={data['k']} rule={result.rule_id}"
                 f" status={result.status.value}"
             )
             if args.with_maps and result.realization is not None:

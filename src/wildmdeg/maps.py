@@ -181,8 +181,8 @@ class NagataShear:
                 ((v, 0), (w * c, 1)),
             )
             return (first, second, w)
-        # each power is built on its own: a dependent quadric takes the
-        # graded recurrence, which builds q^2k directly, not from q^k
+        # each power is built on its own: the library's quadrics are
+        # affinely independent, so q^2k is expanded directly, not from q^k
         q_k, q_2k = quadric**self.power, quadric ** (2 * self.power)
         second = v + (w * q_k) * c
         if len(second) < len(v):

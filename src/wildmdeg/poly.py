@@ -41,7 +41,7 @@ shifts or scales exponents and skips the kernel.  A square ``p * p`` of
 one object forms each unordered pair of terms once and doubles it, which
 halves its term products.
 
-Powers take one of four exact methods.  When the exponent vectors of the
+Powers take one of three exact methods.  When the exponent vectors of the
 base are affinely independent (every monomial and binomial, and
 trinomials such as y^2 + x*z + x^4), each term of the multinomial
 expansion is a distinct monomial, so the expansion is written out
@@ -53,17 +53,8 @@ a = z + 2y*t - x*t^2 with t = q^k and q = y^2 + x*z, are dependent over
 is expanded over those four variables by the multinomial theorem, terms
 that meet added up, and t is substituted once at the end, each t-degree
 m multiplied by q^(k*m).
-A square of any other base forms each unordered pair of its terms once.
-Every other base A is raised by J.C.P. Miller's power-series recurrence
-(Knuth, TAOCP Vol. 2, 4.7), which builds the weighted homogeneous
-components of A^n upward from the power of A's lowest one, each divided
-exactly by an integer multiple of that lowest term: about |A|*|A^n| term
-products.  The recurrence holds for any positive integer weight whose
-lowest part of A is one term.  The weight is the total degree when A's
-lowest total degree part is one term, as for every coordinate the wild
-maps raise to a power; otherwise it is (4^w, 2^w, 1), under which a
-term's degree is its own packed key, so every term of A has its own
-degree.
+Every other base A is raised by successive kernel products: A^2 is one
+symmetric square, and each higher power is the one before times A.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
 occur in the polynomial.  For images off the multinomial path it keeps
@@ -76,7 +67,6 @@ and dies with its polynomial and takes no part in equality or hashing.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Iterable, List, Mapping, Optional, Tuple, Union
 
 Term = Tuple[int, int, int]
@@ -85,7 +75,7 @@ Coeff = Union[int, Fraction]
 VARIABLES = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
-#: Largest exponent accepted by the parser and the term validator.
+#: Largest exponent accepted by the parser and by ``Polynomial(mapping)``.
 MAX_EXPONENT = 10**9
 
 
@@ -154,8 +144,6 @@ def _check_term(term: object) -> Term:
         raise TypeError(f"a monomial is a triple of ints, got {term!r}")
     if any(e < 0 for e in term):
         raise ValueError(f"monomial exponents must be non-negative, got {term!r}")
-    if any(e > MAX_EXPONENT for e in term):
-        raise OverflowError(f"monomial exponent exceeds {MAX_EXPONENT}")
     return term
 
 
@@ -202,6 +190,8 @@ class Polynomial:
         if terms:
             for term, coeff in terms.items():
                 term = _check_term(term)
+                if max(term) > MAX_EXPONENT:
+                    raise OverflowError(f"monomial exponent exceeds {MAX_EXPONENT}")
                 coeff = _check_coeff(coeff)
                 if coeff:
                     clean[term] = coeff
@@ -394,13 +384,12 @@ class Polynomial:
         if not self._keys or exponent == 1:
             return self
         top = exponent * self._top
+        width = max(self._width, _width(top))
         if len(self._keys) == 1:
-            width = max(self._width, _width(top))
             ((key, c),) = _repacked(self, width).items()
             return Polynomial._raw(
                 {key * exponent: c**exponent}, width, top, self._fractions
             )
-        width = max(self._width, _width(_power_top(self, exponent)))
         table = _packed_powers(self, [exponent], width, remember=False)
         return Polynomial._raw(dict(table[exponent]), width, top, self._fractions)
 
@@ -418,8 +407,7 @@ class Polynomial:
         used = [sorted(set(column) - {0}) for column in columns]
         top = sum(e[-1] * img._top for e, img in zip(used, images) if e)
         width = max(
-            [_width(sum(_power_top(img, e[-1]) for e, img in zip(used, images) if e))]
-            + [img._width for e, img in zip(used, images) if e]
+            [_width(top)] + [img._width for e, img in zip(used, images) if e]
         )
         tables = [
             _packed_powers(img, e, width, remember=True) if e else None
@@ -678,13 +666,6 @@ def _independent(poly: Polynomial) -> bool:
     return flag
 
 
-def _power_top(base: Polynomial, n: int) -> int:
-    """A bound on the exponents that raising ``base`` to ``n`` produces:
-    ``base**n``'s, or ``base**(n + 1)``'s for a base off the multinomial
-    path, whose graded recurrence forms intermediate terms that high."""
-    return (n if _independent(base) else n + 1) * base._top
-
-
 def _multinomial(base: PackedTerms, n: int) -> list:
     """``base**n`` by the multinomial theorem, as a packed term list.
 
@@ -814,12 +795,13 @@ def _packed_powers(
     """Packed ``base**e`` for each ``e`` of the ascending positive ``exponents``.
 
     Affinely independent bases expand by the multinomial theorem.  Every
-    other base takes, in this order, its form over t = q^k when a shear
-    left one (``_t_power``), the symmetric square for e = 2, or
-    ``_graded_power``.  With ``remember`` the requested powers are also
-    kept in the memo ``base._powers`` and read back from it on later
-    calls.  ``width`` must hold every exponent up to
-    ``_power_top(base, max(exponents))``.
+    other base takes its form over t = q^k when a shear left one
+    (``_t_power``), and otherwise successive kernel products: A^2 is one
+    symmetric square, and each higher power is the one before times A,
+    starting from the highest power already found.  With ``remember`` the
+    requested powers are also kept in the memo ``base._powers`` and read
+    back from it on later calls.  ``width`` must hold every exponent up to
+    ``max(exponents) * base._top``.
     """
     if not base._keys:
         return {e: () for e in exponents}
@@ -827,109 +809,33 @@ def _packed_powers(
     if _independent(base):
         return {e: _multinomial(step, e) for e in exponents}
     memo = base._powers if remember else None
-    parts = None
     found = {}
+    # the highest power found so far, A^n
+    n, last = 1, step
     for e in exponents:
         cached = memo.get(e) if memo else None
         if cached is not None:
             found[e] = _repacked(cached, width).items()
-            continue
-        if e == 1:
+        elif e == 1:
             found[e] = step
-            continue
-        power = _t_power(base._t_form, e, width) if base._t_form else None
-        if power is None and e == 2:
-            out: dict = {}
-            _accumulate_square(out, list(step))
-            power = _pruned(out)
-        if power is None:
-            if parts is None:
-                parts = _graded(base, step)
-            power = _graded_power(parts, e, base._fractions)
-        found[e] = power.items()
-        if remember:
-            if memo is None:
-                memo = base._powers = {}
-            memo[e] = Polynomial._raw(power, width, e * base._top, base._fractions)
+        else:
+            power = _t_power(base._t_form, e, width) if base._t_form else None
+            if power is None:
+                for j in range(n + 1, e + 1):
+                    out: dict = {}
+                    if j == 2:
+                        _accumulate_square(out, list(step))
+                    else:
+                        _accumulate(out, last, step)
+                    power = _pruned(out)
+                    last = power.items()
+            found[e] = power.items()
+            if remember:
+                if memo is None:
+                    memo = base._powers = {}
+                memo[e] = Polynomial._raw(power, width, e * base._top, base._fractions)
+        n, last = e, found[e]
     return found
-
-
-def _graded(base: Polynomial, packed: PackedTerms) -> list:
-    """Weighted homogeneous components of ``base``, given its terms
-    ``packed`` in stored order at some field width w, as ascending
-    (degree, packed terms) pairs.
-
-    The weight is (1, 1, 1), the total degree, when the lowest total
-    degree part is one term.  Otherwise it is (4^w, 2^w, 1), under which
-    a term's degree is its own packed key, so each term has its own
-    degree.  Either way the lowest component is one term.
-    """
-    terms = list(packed)
-    degrees = _degrees(base)
-    if degrees.count(min(degrees)) > 1:
-        degrees = [k for k, _ in terms]
-    parts: dict = {}
-    for degree, term in zip(degrees, terms):
-        parts.setdefault(degree, []).append(term)
-    return sorted(parts.items())
-
-
-def _graded_power(parts: list, n: int, fractions: bool) -> dict:
-    """Packed A^n by J.C.P. Miller's power recurrence along a weighted degree.
-
-    ``parts`` are A's weighted homogeneous components A_i from ``_graded``;
-    the lowest, A_i0 = a0*m0, is one term.  For the weighted Euler
-    operator E, which multiplies a form of weighted degree L by L,
-    A*E(A^n) = n*E(A)*A^n.  Its part of degree L gives, for the
-    components P_j of P = A^n,
-
-        (L - (n+1)*i0) * a0*m0 * P_(L-i0) = sum over i > i0 of
-                                            ((n+1)*i - L) * A_i * P_(L-i).
-
-    So each P_j, upward from P_(n*i0) = (a0*m0)^n, is the right-hand side
-    for L = j + i0, divided exactly by a0*(j - n*i0) and by m0: about
-    |A|*|A^n| term products in all.  That right-hand side is zero unless
-    some P_(j - (i - i0)) is nonzero, so only the degrees j + (i - i0) of
-    the nonzero components are visited, in ascending order from a heap.
-    The right-hand side's terms reach the exponents of A^(n+1) before
-    they cancel.
-    """
-    (i0, ((m0, a0),)), *upper = parts
-    low = n * i0
-    top = n * parts[-1][0]
-    steps = [i - i0 for i, _ in upper]
-    power = {low: [(m0 * n, a0**n)]}
-    # ascending, so already a heap
-    queue = [low + step for step in steps]
-    queued = set(queue)
-    while queue:
-        j = heappop(queue)
-        degree = j + i0
-        out: dict = {}
-        for i, terms in upper:
-            below = power.get(degree - i)
-            weight = (n + 1) * i - degree
-            if below and weight:
-                _accumulate(out, [(k, c * weight) for k, c in terms], below)
-        divisor = a0 * (j - low)
-        component = []
-        for k, c in out.items():
-            if not c:
-                continue
-            if fractions:
-                c = Fraction(c) / divisor
-            else:
-                c, remainder = divmod(c, divisor)
-                if remainder:
-                    raise ArithmeticError("inexact division in a graded power")
-            component.append((k - m0, c))
-        if component:
-            power[j] = component
-            for step in steps:
-                if j + step <= top and j + step not in queued:
-                    queued.add(j + step)
-                    heappush(queue, j + step)
-    return {k: c for component in power.values() for k, c in component}
 
 
 ZERO = Polynomial()

@@ -308,7 +308,7 @@ class TestInverse:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inverse_third_coordinate(self, d, k):
         # the z-shift's inverse raises a = z + 2y*t - x*t^2 over t = q^k; a
-        # memo-free copy of a takes the graded recurrence instead
+        # memo-free copy of a takes successive kernel products instead
         a, _, third = inverse(sheared_nagata(d, k)).coords
         assert a._t_form is not None
         assert third == X - Polynomial(a.terms()) ** d

@@ -4,7 +4,6 @@ Expected values are frozen: strings and coefficient tables below were
 computed by hand and must never be regenerated from the code under test.
 """
 
-from collections import Counter
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -34,7 +33,7 @@ from wildmdeg import (
     wild_family,
 )
 from wildmdeg import poly as kernel
-from wildmdeg.poly import _affinely_independent, _graded
+from wildmdeg.poly import _affinely_independent
 
 QUADRIC = Y * Y + X * Z
 
@@ -114,6 +113,19 @@ class TestConstruction:
 
     def test_coefficient_of_absent_term_is_zero(self):
         assert (X + Y).coefficient((0, 0, 1)) == 0
+
+    def test_coefficient_beyond_the_constructor_cap(self):
+        # arithmetic builds exponents above MAX_EXPONENT, and reads them back
+        big = 10**10
+        assert (X**big).coefficient((big, 0, 0)) == 1
+        assert (X**big).coefficient((0, big, 0)) == 0
+        assert (X + Y).coefficient((big, 0, 0)) == 0
+        with pytest.raises(TypeError):
+            X.coefficient((1, 0))
+        with pytest.raises(TypeError):
+            X.coefficient((True, 0, 0))
+        with pytest.raises(ValueError):
+            X.coefficient((-1, 0, 0))
 
     def test_len_counts_terms(self):
         assert len(ZERO) == 0
@@ -381,8 +393,7 @@ class TestSympyOracle:
         3 * X - Fraction(1, 2) * Y * Z + Z**2 + 1,
         X + Y + X * Y,
     ]
-    # affinely dependent: the graded recurrence, which divides by the
-    # coefficient of the lowest weighted part's one term
+    # affinely dependent: successive kernel products
     DEPENDENT = [
         1 + X + X**2,
         X + Y + X * Y + 1,
@@ -391,10 +402,9 @@ class TestSympyOracle:
         2 * Z + X * Y + X**2 * Y**2 - 3 * X**3 * Y**3 - Y**2 * Z,
         Fraction(3, 2) * Y + X * Y - Y * Z + X**2 * Z + Z**3,
         -3 + X * Y - Y * Z + X**2 * Z + 2 * Y**3,
-        # A^2 has no x^2 term, so the recurrence passes a zero component
+        # A^2 has no x^2 term, so a product of the chain cancels a term
         1 + X - Fraction(1, 2) * X**2,
-        # lowest total degree parts of two and three terms: graded by the
-        # weight (s^2, s, 1), which gives each term its own degree
+        # lowest total degree parts of two and three terms
         X - 2 * Y + X * Z**2 + Y**2 + X * Y * Z,
         Fraction(2, 3) * X
         - Fraction(1, 2) * Z
@@ -434,7 +444,7 @@ class TestSympyOracle:
 
     @pytest.mark.parametrize("base", DEPENDENT, ids=str)
     def test_dependent_powers_for_every_exponent_to_12(self, ring, base):
-        # every exponent of the graded recurrence, through ** and through
+        # every exponent of the product chain, through ** and through
         # substitution into a memo-free copy of the base
         assert not _affinely_independent(base.terms())
         expected = {1: _to_ring(base, ring)}
@@ -492,45 +502,6 @@ class TestSympyOracle:
         assert parse("(x^1000000000)^1000000000") ** 100 == X ** (10**20)
 
 
-class TestPowerGrading:
-    """The weight by which the graded power recurrence splits its base."""
-
-    @staticmethod
-    def components(base):
-        parts = _graded(base, base._keys.items())
-        return [(degree, len(terms)) for degree, terms in parts]
-
-    @staticmethod
-    def lowest_total_degree_terms(base):
-        totals = Counter(sum(term) for term in base.terms())
-        return totals[min(totals)]
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_one_term_lowest_part_is_graded_by_total_degree(self, k):
-        # a shear's quadric on coordinates with a constant term, and the
-        # base z + 2y*t - x*t^2, t = q^k, that z_shift(d)'s inverse raises
-        # to the d-th power in every inverse check.  A finer weight would
-        # split them into single-term components, which the recurrence
-        # multiplies one kernel call at a time.
-        quadric = (Y + 1) * (Y + 1) + X * Z
-        t = QUADRIC**k
-        for base in (quadric**k, Z + 2 * Y * t - X * t**2):
-            assert not _affinely_independent(base.terms())
-            assert self.lowest_total_degree_terms(base) == 1
-            totals = Counter(sum(term) for term in base.terms())
-            assert self.components(base) == sorted(totals.items())
-
-    def test_other_bases_give_each_term_its_own_degree(self):
-        bases = [
-            base
-            for base in TestSympyOracle.DEPENDENT
-            if self.lowest_total_degree_terms(base) > 1
-        ]
-        assert len(bases) == 3
-        for base in bases:
-            assert [count for _, count in self.components(base)] == [1] * len(base)
-
-
 class TestMultinomialRows:
     def test_coefficients_are_multinomial(self):
         # four affinely independent terms: both levels of the expansion
@@ -582,19 +553,30 @@ class TestPowerOverT:
                     assert substituted == power * Z
                     assert _int_normal_form(substituted)
 
-    def test_t_route_leaves_out_the_graded_recurrence(self, monkeypatch):
+    def test_t_route_forms_no_product_chain(self, monkeypatch):
         first, second, _ = NagataShear(3, -1).applied_to((Z, Y, X))
         expected = {n: Polynomial(first.terms()) ** n for n in (2, 5, 9)}
+        t_power = kernel._t_power
+        returned = []
+
+        def recorded(*args):
+            power = t_power(*args)
+            returned.append(power is not None)
+            return power
 
         def refuse(*args):
-            raise AssertionError("graded recurrence called")
+            raise AssertionError("product chain started")
 
-        monkeypatch.setattr(kernel, "_graded_power", refuse)
+        # a product chain starts with the symmetric square of the base
+        monkeypatch.setattr(kernel, "_t_power", recorded)
+        monkeypatch.setattr(kernel, "_accumulate_square", refuse)
         for n, power in expected.items():
             assert first**n == power
         assert (X**9 + X**5 * Y).substitute(first, second, Z) == (
             expected[9] + expected[5] * second
         )
+        # the t-route built every power: 2, 5 and 9, then 5 and 9 again
+        assert returned == [True] * 5
 
     def test_dependent_forms_are_raised_over_t(self):
         # on (x, x, x) the terms u and w*t^2 over t are collinear with v*t,
@@ -610,23 +592,25 @@ class TestPowerOverT:
 
 class TestSquares:
     def test_dependent_square_is_the_symmetric_square(self, monkeypatch):
-        # lowest total degree part of two terms: no graded recurrence, and
-        # one symmetric square of n(n+1)/2 term products
+        # lowest total degree part of two terms: one symmetric square of
+        # n(n+1)/2 term products, and no product of two several-term operands
         base = Y * Y + X * Z + nagata(2).coords[0] ** 4
         assert not _affinely_independent(base.terms())
         expected = base * base
         counted = []
         square = kernel._accumulate_square
+        accumulate = kernel._accumulate
 
         def counted_square(out, a):
             counted.append(len(a))
             square(out, a)
 
-        def refuse(*args):
-            raise AssertionError("graded recurrence called")
+        def one_term_factor(out, a, b):
+            assert min(len(a), len(b)) == 1
+            accumulate(out, a, b)
 
         monkeypatch.setattr(kernel, "_accumulate_square", counted_square)
-        monkeypatch.setattr(kernel, "_graded_power", refuse)
+        monkeypatch.setattr(kernel, "_accumulate", one_term_factor)
         assert base**2 == expected
         assert (X**2 * Y).substitute(Polynomial(base.terms()), Y, Z) == expected * Y
         assert counted == [len(base), len(base)]
