@@ -35,15 +35,16 @@ def main():
     print()
 
     print("full audit for the family instance (d, k) = (6, 1):")
-    for report in no_elementary_reduction_check(6, 1):
-        print(f"  reduce the {report.coordinate} coordinate?")
-        for check in report.checks:
+    for coordinate, rows in no_elementary_reduction_check(6, 1):
+        print(f"  reduce the {coordinate} coordinate?")
+        for check in rows:
             mark = "ok" if check.holds else "XX"
             print(
                 f"    [{mark}] {check.name}"
                 f"  (lhs={check.lhs}, rhs={check.rhs})"
             )
-        print(f"    -> {report.conclusion}")
+        holds = all(check.holds for check in rows)
+        print(f"    -> {'reduction_impossible' if holds else 'inconclusive'}")
     print()
 
     report = type_iii_check((6, 13, 20))

@@ -84,9 +84,7 @@ from .classify import (
     classify_tame,
     default_family,
     enumerate_wild,
-    long_progression_exclusion,
     semigroup_member,
-    short_progression_exclusion,
     wild_family,
 )
 
@@ -151,8 +149,6 @@ __all__ = [
     "classify_tame",
     "default_family",
     "enumerate_wild",
-    "long_progression_exclusion",
     "semigroup_member",
-    "short_progression_exclusion",
     "wild_family",
 ]

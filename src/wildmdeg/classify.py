@@ -12,8 +12,9 @@ small witness — a citation record stating the fact used.
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
 them, drawn from four parametric families.  A family certificate keeps
-the classifier's own certificate as its ``proof``; the odd families add
-their ``exclusion``, the residue rows that show d3 is not in <d1, d2>.
+the classifier's own certificate as its ``proof``.  When that proof is a
+citation (R3, R4 or R6) it adds the ``exclusion``, the residue rows that
+show d3 is not in <d1, d2>; an R7 proof is the audit's own rows.
 """
 
 from __future__ import annotations
@@ -26,18 +27,16 @@ from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 from .maps import (
     PolyMap,
     Triangular,
-    long_progression_map,
     multidegree,
     sheared_nagata,
     short_progression_map,
     tame_witness,
 )
-from .poly import X, _check_int
+from .poly import X, _check_int, _validate_sorted_triple
 from .reduction import (
     InequalityCheck,
     ReductionAudit,
-    _residue_checks,
-    _validate_sorted_triple,
+    _nonmember_rows,
     family_triple,
     reduction_audit,
 )
@@ -81,30 +80,6 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
         if remainder % d1 == 0:
             return SemigroupWitness(remainder // d1, b)
     return None
-
-
-def _progression_exclusion(triple: Triple, k: int) -> Tuple[InequalityCheck, ...]:
-    """Why d3 is not in <d1, d2> for an arithmetic progression d1, d2, d3
-    whose first term d1 >= 3 is odd and coprime to k: one residue row for
-    each b <= d3 // d2; the argument holds when every row holds."""
-    d1, d2, d3 = triple
-    _check_int(d1, "r", 3)
-    _check_int(k, "k", 1)
-    if d1 % 2 == 0:
-        raise ValueError("r must be odd")
-    if gcd(d1, k) != 1:
-        raise ValueError(f"need gcd(r, k) = 1, got gcd = {gcd(d1, k)}")
-    return _residue_checks(triple, 2, 0, 1, d3 // d2 + 1)
-
-
-def short_progression_exclusion(r: int, k: int) -> Tuple[InequalityCheck, ...]:
-    """Why r + 4k is not in <r, r + 2k>, for odd r >= 3 coprime to k."""
-    return _progression_exclusion((r, r + 2 * k, r + 4 * k), k)
-
-
-def long_progression_exclusion(r: int, k: int) -> Tuple[InequalityCheck, ...]:
-    """Why r + 2k(r+1) is not in <r, r + k(r+1)>, for odd r >= 3 coprime to k."""
-    return _progression_exclusion(family_triple(r, k), k)
 
 
 @dataclass(frozen=True)
@@ -350,16 +325,7 @@ class FamilyParams:
         d, k = self.d, self.k
         if self.family is Family.ODD_1_MOD_4:
             return short_progression_map((d - 1) // 4, k)
-        if self.family is Family.ODD_GENERAL:
-            return long_progression_map(d, k)
         return sheared_nagata(d, k)
-
-    def exclusion(self) -> Optional[Tuple[InequalityCheck, ...]]:
-        if self.family is Family.ODD_1_MOD_4:
-            return short_progression_exclusion(self.d, self.k)
-        if self.family is Family.ODD_GENERAL:
-            return long_progression_exclusion(self.d, self.k)
-        return None
 
 
 def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
@@ -368,8 +334,8 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
     Builds the witness automorphism, checks that its sorted multidegree is
     the family triple, checks that the classifier refutes tameness, and
     returns the triple with a classification whose certificate records the
-    family data, the classifier's certificate as its proof and, for the
-    odd families, the checked semigroup non-membership rows.
+    family data, the classifier's certificate as its proof and, when that
+    proof is a citation, the checked semigroup non-membership rows.
     """
     triple = params.triple()
     witness = params.witness()
@@ -384,9 +350,11 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
             f"classifier did not refute tameness of {triple}:"
             f" got {classification.status.value}"
         )
-    exclusion = params.exclusion()
-    if exclusion is not None and not all(row.holds for row in exclusion):
-        raise AssertionError(f"non-membership row for {triple} fails")
+    exclusion = None
+    if isinstance(classification.certificate, CitationCertificate):
+        exclusion = _nonmember_rows(triple)
+        if not all(row.holds for row in exclusion):
+            raise AssertionError(f"non-membership row for {triple} fails")
     certificate = WildFamilyCertificate(
         params.family.value,
         params.d,

@@ -38,9 +38,7 @@ from .classify import (
     TameStatus,
     classify_tame,
     enumerate_wild,
-    long_progression_exclusion,
     semigroup_member,
-    short_progression_exclusion,
 )
 from .derivations import nagata_exp
 from .maps import (
@@ -55,7 +53,8 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .reduction import family_triple, reduction_audit
+from .poly import _check_int
+from .reduction import _nonmember_rows, family_triple, reduction_audit
 
 _EXIT_USAGE = 3
 
@@ -414,14 +413,15 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
     for r in _range_or_single(args.d, args.dmax, start=3):
         if r % 2 == 0:
             continue
+        _check_int(r, "r", 3)
         for k in _range_or_single(args.k, args.kmax):
             if gcd(r, k) != 1:
                 continue
-            for name, exclusion in (
-                ("short", short_progression_exclusion),
-                ("long", long_progression_exclusion),
+            for name, triple in (
+                ("short", (r, r + 2 * k, r + 4 * k)),
+                ("long", family_triple(r, k)),
             ):
-                ok = all(row.holds for row in exclusion(r, k))
+                ok = all(row.holds for row in _nonmember_rows(triple))
                 checks.append(
                     (f"{name}-progression exclusion valid, r={r}, k={k}", ok)
                 )

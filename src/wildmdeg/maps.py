@@ -61,6 +61,7 @@ from .poly import (
     _check_int,
     _columns,
     _over_t,
+    _validate_sorted_triple,
 )
 
 #: The quadric y^2 + x*z preserved by every Nagata shear.
@@ -492,12 +493,9 @@ def tame_witness(d1: int, d2: int, d3: int, a: int, b: int) -> PolyMap:
     The map is (x + z^d1, y + z^d2, z + (x + z^d1)^a * (y + z^d2)^b),
     composed from three triangular generators.
     """
-    for name, value, minimum in (
-        ("d1", d1, 1), ("d2", d2, 1), ("d3", d3, 1), ("a", a, 0), ("b", b, 0)
-    ):
-        _check_int(value, name, minimum)
-    if not (d1 <= d2 <= d3):
-        raise ValueError("degrees must satisfy d1 <= d2 <= d3")
+    _validate_sorted_triple((d1, d2, d3))
+    _check_int(a, "a", 0)
+    _check_int(b, "b", 0)
     if (a, b) == (0, 0):
         raise ValueError("witness exponents (a, b) must not both be zero")
     if a * d1 + b * d2 != d3:

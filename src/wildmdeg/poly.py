@@ -156,6 +156,19 @@ def _check_int(value: object, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+def _validate_sorted_triple(triple) -> Tuple[int, int, int]:
+    """The triple as a tuple of three sorted positive ints: TypeError for a
+    non-int entry, ValueError for a wrong length or an unsorted triple."""
+    values = tuple(triple)
+    if len(values) != 3:
+        raise ValueError(f"a degree triple is three ints, got {triple!r}")
+    for name, value in zip(("d1", "d2", "d3"), values):
+        _check_int(value, name, 1)
+    if not values[0] <= values[1] <= values[2]:
+        raise ValueError(f"degree triple must be sorted, got {values}")
+    return values
+
+
 def _grlex(item: Tuple[Term, Coeff]) -> Tuple[int, Term]:
     """Sort key of a (term, coefficient) pair for graded lexicographic
     order with x > y > z."""

@@ -8,10 +8,12 @@ deg G(f, g) from below in terms of deg f, deg g, the y-degree split of G
 
 This module packages those bounds as executable checks.  For the
 even-degree family triple (d, d+k(d+1), d+2k(d+1)) it audits each
-coordinate from the triple alone: one floor row from
-:func:`su_lower_bound` rules out q >= 1, and one residue row per
-remaining b shows the coordinate's degree is no a*d_j + b*d_l.  The odd
-families' exclusions (``wildmdeg.classify``) are the same residue rows.
+coordinate from the triple alone.  Each case is a pair (coordinate,
+rows): one floor row from :func:`su_lower_bound` rules out q >= 1, and
+one residue row per remaining b shows the coordinate's degree is no
+a*d_j + b*d_l.  The same residue rows, taken for every b <= d3 // d2,
+show d3 is not in <d1, d2>; a wild family whose proof is a citation
+carries them as its ``exclusion`` (``wildmdeg.classify``).
 It separately checks the parity/ratio conditions that exclude the
 delicate type-III reduction shape.
 :func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
@@ -23,15 +25,12 @@ alone, and every verdict is computed from its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd
 from operator import lt, ne
-from typing import ClassVar, List, Tuple
+from typing import ClassVar, Tuple
 
-from .poly import _check_int
-
-REDUCTION_IMPOSSIBLE = "reduction_impossible"
-INCONCLUSIVE = "inconclusive"
+from .poly import _check_int, _validate_sorted_triple
 
 
 @dataclass(frozen=True)
@@ -85,33 +84,11 @@ class InequalityCheck:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    """One coordinate's elementary-reduction audit; concluded from its checks."""
-
-    coordinate: str
-    checks: Tuple[InequalityCheck, ...]
-
-    @property
-    def conclusion(self) -> str:
-        if all(c.holds for c in self.checks):
-            return REDUCTION_IMPOSSIBLE
-        return INCONCLUSIVE
-
-    def to_dict(self) -> dict:
-        return {
-            "coordinate": self.coordinate,
-            "checks": [c.to_dict() for c in self.checks],
-            "conclusion": self.conclusion,
-        }
+# one coordinate's elementary-reduction audit: (coordinate, rows)
+Case = Tuple[str, Tuple[InequalityCheck, ...]]
 
 
 def family_triple(d: int, k: int) -> Tuple[int, int, int]:
@@ -143,11 +120,17 @@ def _residue_checks(
     )
 
 
+def _nonmember_rows(triple) -> Tuple[InequalityCheck, ...]:
+    """Rows showing d3 is not in <d1, d2>: one residue row for each
+    b <= d3 // d2; the argument holds when every row holds."""
+    return _residue_checks(triple, 2, 0, 1, triple[2] // triple[1] + 1)
+
+
 # (coordinate, i, j, l): coordinate i is reduced by G(f_j, f_l), d_j < d_l
 _CASES = (("first", 0, 1, 2), ("second", 1, 0, 2), ("third", 2, 0, 1))
 
 
-def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
+def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
     """Per-coordinate audit of ``family_triple(d, k)``, from the triple alone.
 
     Requires even d >= 4 and gcd(d, k) = 1, so k is odd.
@@ -156,8 +139,8 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
     :class:`ReductionQuery` ``p`` of (d_j, d_l).  The first row,
     d_i < :func:`su_lower_bound` at q = 1, r = 0, forces q = 0, so that
     deg G = a*d_j + b*d_l; each further row shows that d_i - b*d_l is no
-    multiple of d_j for one b < p.  The conclusion is
-    ``reduction_impossible`` exactly when all rows hold.
+    multiple of d_j for one b < p.  The case excludes the reduction
+    exactly when all its rows hold.
     """
     _check_int(d, "d", 4)
     _check_int(k, "k", 1)
@@ -166,16 +149,16 @@ def no_elementary_reduction_check(d: int, k: int) -> List[CaseReport]:
     if gcd(d, k) != 1:
         raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
     triple = family_triple(d, k)
-    reports = []
+    cases = []
     for coordinate, i, j, l in _CASES:
         query = ReductionQuery(triple[j], triple[l], 1, 0)
         floor = _checks([(
             f"d{i + 1} < su_lower_bound(ReductionQuery(d{j + 1}, d{l + 1},"
             f" 1, 0)), so q = 0", triple[i], lt, su_lower_bound(query)
         )])
-        checks = floor + _residue_checks(triple, i, j, l, query.p)
-        reports.append(CaseReport(coordinate, checks))
-    return reports
+        residues = _residue_checks(triple, i, j, l, query.p)
+        cases.append((coordinate, floor + residues))
+    return tuple(cases)
 
 
 @dataclass(frozen=True)
@@ -216,15 +199,17 @@ def type_iii_check(triple: Tuple[int, int, int]) -> TypeThreeReport:
 class ReductionAudit:
     """The R7 audit of one family triple: all three cases and type III.
 
-    ``excluded`` holds when every case is ``reduction_impossible`` and the
+    ``excluded`` holds when every row of every case holds and the
     type-III shape is excluded; then the triple is not a tame multidegree,
     and the audit is the classifier's ``reduction_exclusion`` certificate.
+    A case's ``conclusion`` in the document is ``reduction_impossible``
+    when all its rows hold and ``inconclusive`` otherwise.
     """
 
     kind: ClassVar[str] = "reduction_exclusion"
     d: int
     k: int
-    cases: Tuple[CaseReport, ...]
+    cases: Tuple[Case, ...]
     type_iii: TypeThreeReport
 
     @property
@@ -234,14 +219,22 @@ class ReductionAudit:
     @property
     def excluded(self) -> bool:
         return self.type_iii.excluded and all(
-            case.conclusion == REDUCTION_IMPOSSIBLE for case in self.cases
+            row.holds for _, rows in self.cases for row in rows
         )
 
     def data_dict(self) -> dict:
+        cases = []
+        for coordinate, rows in self.cases:
+            holds = all(row.holds for row in rows)
+            cases.append({
+                "coordinate": coordinate,
+                "checks": [row.to_dict() for row in rows],
+                "conclusion": "reduction_impossible" if holds else "inconclusive",
+            })
         return {
             "d": self.d,
             "k": self.k,
-            "cases": [case.to_dict() for case in self.cases],
+            "cases": cases,
             "type_iii": self.type_iii.to_dict(),
         }
 
@@ -252,18 +245,5 @@ class ReductionAudit:
 
 def reduction_audit(d: int, k: int) -> ReductionAudit:
     """Elementary-reduction audit plus type-III check of ``family_triple(d, k)``."""
-    cases = tuple(no_elementary_reduction_check(d, k))
+    cases = no_elementary_reduction_check(d, k)
     return ReductionAudit(d, k, cases, type_iii_check(family_triple(d, k)))
-
-
-def _validate_sorted_triple(triple) -> Tuple[int, int, int]:
-    """The triple as a tuple of three sorted positive ints: TypeError for a
-    non-int entry, ValueError for a wrong length or an unsorted triple."""
-    values = tuple(triple)
-    if len(values) != 3:
-        raise ValueError(f"a degree triple is three ints, got {triple!r}")
-    for name, value in zip(("d1", "d2", "d3"), values):
-        _check_int(value, name, 1)
-    if not values[0] <= values[1] <= values[2]:
-        raise ValueError(f"degree triple must be sorted, got {values}")
-    return values

@@ -160,14 +160,14 @@ def test_criterion_08_elementary_reductions_excluded():
             for k in range(1, 6):
                 if gcd(d, k) != 1:
                     continue
-                reports = no_elementary_reduction_check(d, k)
-                assert [r.coordinate for r in reports] == [
+                cases = no_elementary_reduction_check(d, k)
+                assert [coordinate for coordinate, _ in cases] == [
                     "first",
                     "second",
                     "third",
                 ]
                 assert all(
-                    r.conclusion == "reduction_impossible" for r in reports
+                    row.holds for _, rows in cases for row in rows
                 ), (d, k)
                 triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
                 assert type_iii_check(triple).excluded, (d, k)

@@ -22,11 +22,9 @@ from wildmdeg import (
     classify_tame,
     default_family,
     enumerate_wild,
-    long_progression_exclusion,
     multidegree,
     reduction_audit,
     semigroup_member,
-    short_progression_exclusion,
     su_lower_bound,
     type_iii_check,
     wild_family,
@@ -37,7 +35,7 @@ from wildmdeg.classify import (
     WildFamilyCertificate,
     WitnessCertificate,
 )
-from wildmdeg.reduction import _residue_checks
+from wildmdeg.reduction import _nonmember_rows, _residue_checks
 
 
 def brute_force_member(d1, d2, d3):
@@ -102,15 +100,23 @@ def residues(triple):
     return [(d3 - b * d2) % d1 for b in range(d3 // d2 + 1)]
 
 
+def family_exclusion(family, d, k):
+    """The ``exclusion`` rows of the wild-family certificate of (d, k)."""
+    return wild_family(FamilyParams(family, d, k))[1].certificate.exclusion
+
+
 class TestExclusionTraces:
+    """The non-membership rows of the short progression (r, r+2k, r+4k)
+    and the long one (r, r+k(r+1), r+2k(r+1)), odd r >= 3 coprime to k."""
+
     def test_short_progression_shape(self):
-        rows = short_progression_exclusion(5, 1)
+        rows = family_exclusion(Family.ODD_1_MOD_4, 5, 1)
         assert len(rows) == 2  # b = 0, 1; b = 2 would need 14 <= 9
         assert all(isinstance(s, InequalityCheck) for s in rows)
         assert all(s.holds for s in rows)
 
     def test_long_progression_shape(self):
-        rows = long_progression_exclusion(3, 1)
+        rows = family_exclusion(Family.ODD_GENERAL, 3, 1)
         assert [s.lhs for s in rows] == residues((3, 7, 11))
         assert all(s.holds for s in rows)
 
@@ -118,9 +124,9 @@ class TestExclusionTraces:
         "r, k", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 3), (9, 4), (13, 1)]
     )
     def test_short_grid_valid(self, r, k):
-        rows = short_progression_exclusion(r, k)
-        assert all(s.holds for s in rows)
         triple = (r, r + 2 * k, r + 4 * k)
+        rows = _nonmember_rows(triple)
+        assert all(s.holds for s in rows)
         assert [s.lhs for s in rows] == residues(triple)
         assert not brute_force_member(*triple)
 
@@ -128,16 +134,16 @@ class TestExclusionTraces:
         "r, k", [(3, 1), (3, 2), (5, 1), (7, 2), (9, 2), (11, 1)]
     )
     def test_long_grid_valid(self, r, k):
-        rows = long_progression_exclusion(r, k)
-        assert all(s.holds for s in rows)
         step = k * (r + 1)
         triple = (r, r + step, r + 2 * step)
+        rows = _nonmember_rows(triple)
+        assert all(s.holds for s in rows)
         assert [s.lhs for s in rows] == residues(triple)
         assert not brute_force_member(*triple)
 
     def test_statements_carry_concrete_numbers(self):
         # (5, 7, 9): 9 mod 5 = 4, (9 - 7) mod 5 = 2
-        rows = short_progression_exclusion(5, 1)
+        rows = _nonmember_rows((5, 7, 9))
         assert [(s.lhs, s.rhs) for s in rows] == [(4, 0), (2, 0)]
         assert [s.name for s in rows] == [
             "(d3 - 0*d2) mod d1 != 0, so b = 0 fails",
@@ -145,27 +151,15 @@ class TestExclusionTraces:
         ]
 
     def test_to_dict(self):
-        rows = [s.to_dict() for s in long_progression_exclusion(3, 1)]
+        rows = [s.to_dict() for s in family_exclusion(Family.ODD_GENERAL, 3, 1)]
         assert rows and all(row["holds"] is True for row in rows)
         assert all(set(row) == {"name", "lhs", "rhs", "holds"} for row in rows)
         json.dumps(rows)  # must be serializable as-is
 
-    @pytest.mark.parametrize(
-        "func", [short_progression_exclusion, long_progression_exclusion]
-    )
-    def test_preconditions(self, func):
-        with pytest.raises(ValueError):
-            func(4, 1)  # even r
-        with pytest.raises(ValueError):
-            func(1, 1)  # r too small
-        with pytest.raises(ValueError):
-            func(3, 3)  # shared factor
-        with pytest.raises(ValueError):
-            func(3, 0)
-        with pytest.raises(TypeError):
-            func(3.0, 1)
-        with pytest.raises(TypeError):
-            func(True, 1)
+    def test_a_member_fails_its_row(self):
+        # 8 = 1*3 + 1*5 is in <3, 5>: the b = 1 row reads 3 mod 3 = 0
+        rows = _nonmember_rows((3, 5, 8))
+        assert [(s.lhs, s.holds) for s in rows] == [(2, True), (0, False)]
 
 
 TRUTH_TABLE = [
@@ -247,13 +241,15 @@ class TestClassifyTame:
         assert certificate == reduction_audit(6, 1)
         assert (certificate.d, certificate.k) == (6, 1)
         assert set(certificate.data_dict()) == {"d", "k", "cases", "type_iii"}
-        assert [c.coordinate for c in certificate.cases] == [
+        assert [coordinate for coordinate, _ in certificate.cases] == [
             "first",
             "second",
             "third",
         ]
+        assert all(row.holds for _, rows in certificate.cases for row in rows)
         assert all(
-            c.conclusion == "reduction_impossible" for c in certificate.cases
+            case["conclusion"] == "reduction_impossible"
+            for case in certificate.data_dict()["cases"]
         )
         assert certificate.type_iii.excluded is True
         assert result.realization is None
@@ -334,12 +330,12 @@ class TestFamilyParams:
         for params in (
             FamilyParams(Family.ODD_1_MOD_4, 5, 1),
             FamilyParams(Family.ODD_GENERAL, 3, 2),
+            FamilyParams(Family.D_EQUALS_4, 4, 1),
         ):
-            rows = params.exclusion()
+            rows = family_exclusion(params.family, params.d, params.k)
             assert rows and all(s.holds for s in rows)
             assert [s.lhs for s in rows] == residues(params.triple())
-        assert FamilyParams(Family.EVEN_GT_4, 6, 1).exclusion() is None
-        assert FamilyParams(Family.D_EQUALS_4, 4, 1).exclusion() is None
+        assert family_exclusion(Family.EVEN_GT_4, 6, 1) is None
 
     @pytest.mark.parametrize(
         "family, d, k",
@@ -395,23 +391,53 @@ class TestWildFamily:
         assert certificate.kind == "wild_family"
         assert certificate.family == "odd_1_mod_4"
         assert (certificate.d, certificate.k) == (5, 2)
-        assert certificate.exclusion == short_progression_exclusion(5, 2)
+        assert certificate.exclusion == _nonmember_rows((5, 9, 13))
         assert all(s.holds for s in certificate.exclusion)
         assert certificate.proof == classify_tame(triple).certificate
         assert certificate.proof.kind == "citation"
 
-    def test_even_families_have_no_trace(self):
-        for params in (
-            FamilyParams(Family.EVEN_GT_4, 8, 1),
-            FamilyParams(Family.D_EQUALS_4, 4, 3),
+    def test_even_families_keep_the_classifier_proof(self):
+        # d = 4 is proved by the R6 citation, so it carries the rows too;
+        # an R7 proof is the audit's own rows, and exclusion stays null
+        for params, exclusion in (
+            (FamilyParams(Family.EVEN_GT_4, 8, 1), None),
+            (FamilyParams(Family.D_EQUALS_4, 4, 3), _nonmember_rows((4, 19, 34))),
         ):
             triple, classification = wild_family(params)
-            assert classification.certificate.exclusion is None
+            assert classification.certificate.exclusion == exclusion
             proof = classification.certificate.proof
             assert proof == classify_tame(triple).certificate
             data = classification.to_dict()["certificate"]["data"]
-            assert data["exclusion"] is None
+            assert data["exclusion"] == (
+                None if exclusion is None else [s.to_dict() for s in exclusion]
+            )
             assert data["proof"] == {"kind": proof.kind, "data": proof.data_dict()}
+
+    def test_exclusion_rows_against_a_reachability_table(self):
+        # every family, d <= 13, the first 8 admissible k: a citation proof
+        # carries rows, every row holds, and d3 is outside <d1, d2> by a
+        # reachability table that does not call semigroup_member
+        checked = set()
+        for family in Family:
+            for d in range(3, 14):
+                ks = []
+                for k in range(1, 40):
+                    try:
+                        ks.append(FamilyParams(family, d, k))
+                    except ValueError:
+                        continue
+                for params in ks[:8]:
+                    triple, classification = wild_family(params)
+                    certificate = classification.certificate
+                    rows = certificate.exclusion
+                    if certificate.proof.kind == "citation":
+                        assert rows and all(s.holds for s in rows), params
+                        assert [s.lhs for s in rows] == residues(triple)
+                    else:
+                        assert rows is None, params
+                    assert not brute_force_member(*triple), params
+                    checked.add(family)
+        assert checked == set(Family)
 
     def test_realization_is_attached(self):
         grid = [
@@ -433,7 +459,7 @@ class TestWildFamily:
         data = document["certificate"]["data"]
         assert set(data) == {"family", "d", "k", "exclusion", "proof"}
         assert data["exclusion"] == [
-            s.to_dict() for s in long_progression_exclusion(3, 1)
+            s.to_dict() for s in _nonmember_rows((3, 7, 11))
         ]
         assert data["proof"] == classify_tame((3, 7, 11)).to_dict()["certificate"]
         json.dumps(document)

@@ -390,6 +390,10 @@ def test_golden_corpus(capsys, record):
       ``check-reductions`` entries, when text became a rendering of the
       JSON document.
 
+    Added since: ``wild-enum --format json --d 4 --count 2``, when the
+    d = 4 family (an R6 citation) gained its non-membership ``exclusion``
+    rows.
+
     stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
@@ -445,6 +449,7 @@ def _recheck(node, rows):
         ["wild-enum", "--format", "json", "--d", "5"],
         ["wild-enum", "--format", "json", "--d", "9"],
         ["wild-enum", "--format", "json", "--d", "6"],
+        ["wild-enum", "--format", "json", "--d", "4"],
         ["check-reductions", "--format", "json", "--d", "8", "--k", "3"],
         ["classify", "--format", "json", "6", "13", "20"],
     ],

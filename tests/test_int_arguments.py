@@ -16,7 +16,6 @@ from wildmdeg import (
     enumerate_wild,
     exp,
     family_triple,
-    long_progression_exclusion,
     long_progression_map,
     nagata,
     nagata_derivation,
@@ -25,7 +24,6 @@ from wildmdeg import (
     reduction_audit,
     semigroup_member,
     sheared_nagata,
-    short_progression_exclusion,
     short_progression_map,
     tame_witness,
     type_iii_check,
@@ -51,8 +49,6 @@ ENTRY_POINTS = {
     "classify_tame": lambda v: classify_tame((v, 2, 3)),
     "type_iii_check": lambda v: type_iii_check((6, v, 20)),
     "semigroup_member": lambda v: semigroup_member(v, 4, 8),
-    "short_progression_exclusion": lambda v: short_progression_exclusion(3, v),
-    "long_progression_exclusion": lambda v: long_progression_exclusion(3, v),
     "FamilyParams": lambda v: FamilyParams(Family.EVEN_GT_4, 6, v),
     "default_family": default_family,
     "enumerate_wild": lambda v: enumerate_wild(5, v),

@@ -11,6 +11,7 @@ import pytest
 
 from wildmdeg import (
     InequalityCheck,
+    ReductionAudit,
     ReductionQuery,
     family_triple,
     no_elementary_reduction_check,
@@ -18,7 +19,6 @@ from wildmdeg import (
     su_lower_bound,
     type_iii_check,
 )
-from wildmdeg.reduction import INCONCLUSIVE, REDUCTION_IMPOSSIBLE, CaseReport
 
 
 class TestReductionQuery:
@@ -73,57 +73,84 @@ class TestSuLowerBound:
             assert su_lower_bound(base) > su_lower_bound(more_r)
 
 
+def audit_of(*cases, type_iii=(6, 13, 20)):
+    """A ReductionAudit of (6, 1) holding the given (coordinate, rows) cases."""
+    return ReductionAudit(6, 1, cases, type_iii_check(type_iii))
+
+
 class TestCaseReport:
+    """A case's entry in the audit document, concluded from its rows."""
+
     def test_from_checks_all_hold(self):
         checks = (InequalityCheck("a < b", 1, 2, True),)
-        report = CaseReport("first", checks)
-        assert report.conclusion == REDUCTION_IMPOSSIBLE
+        audit = audit_of(("first", checks))
+        [case] = audit.data_dict()["cases"]
+        assert case["conclusion"] == "reduction_impossible"
+        assert audit.excluded is True
 
     def test_from_checks_any_failure(self):
         checks = (
             InequalityCheck("a < b", 1, 2, True),
             InequalityCheck("b < a", 2, 1, False),
         )
-        report = CaseReport("second", checks)
-        assert report.conclusion == INCONCLUSIVE
+        audit = audit_of(("first", checks[:1]), ("second", checks))
+        first, second = audit.data_dict()["cases"]
+        assert first["conclusion"] == "reduction_impossible"
+        assert second["conclusion"] == "inconclusive"
+        assert audit.excluded is False
+        assert audit.to_dict()["all_excluded"] is False
 
     def test_to_dict(self):
-        report = CaseReport("third", (InequalityCheck("n", 1, 2, True),))
-        assert report.to_dict() == {
+        audit = audit_of(("third", (InequalityCheck("n", 1, 2, True),)))
+        assert audit.data_dict()["cases"] == [{
             "coordinate": "third",
             "checks": [{"name": "n", "lhs": 1, "rhs": 2, "holds": True}],
             "conclusion": "reduction_impossible",
-        }
+        }]
+
+    def test_type_iii_gates_the_verdict(self):
+        # (1, 2, 3) meets both type-III conditions, so the shape is possible
+        audit = audit_of(("first", (InequalityCheck("n", 1, 2, True),)),
+                         type_iii=(1, 2, 3))
+        assert audit.data_dict()["cases"][0]["conclusion"] == (
+            "reduction_impossible"
+        )
+        assert audit.excluded is False
 
 
 class TestNoElementaryReduction:
     def test_case_structure_for_6_1(self):
-        reports = no_elementary_reduction_check(6, 1)
-        assert [r.coordinate for r in reports] == ["first", "second", "third"]
-        assert all(r.conclusion == REDUCTION_IMPOSSIBLE for r in reports)
+        cases = no_elementary_reduction_check(6, 1)
+        assert isinstance(cases, tuple)
+        assert [coordinate for coordinate, _ in cases] == [
+            "first", "second", "third"
+        ]
+        assert all(row.holds for _, rows in cases for row in rows)
 
     def test_frozen_values_for_6_1(self):
-        first, second, third = no_elementary_reduction_check(6, 1)
+        first, second, third = (
+            rows for _, rows in no_elementary_reduction_check(6, 1)
+        )
 
-        values = [(c.lhs, c.rhs) for c in first.checks]
+        values = [(c.lhs, c.rhs) for c in first]
         assert values == [
             (6, 229),  # d1 below the (d2, d3) floor, so q = 0
             (6, 0),  # 6 mod 13: b = 0 fails, and b = 1 would need 20 <= 6
         ]
 
-        values = [(c.lhs, c.rhs) for c in second.checks]
+        values = [(c.lhs, c.rhs) for c in second]
         assert values == [
             (13, 36),  # d2 below the (d1, d3) floor, so q = 0
             (1, 0),  # 13 mod 6: b = 0 fails, and b = 1 would need 20 <= 13
         ]
 
-        values = [(c.lhs, c.rhs) for c in third.checks]
+        values = [(c.lhs, c.rhs) for c in third]
         assert values == [
             (20, 61),  # d3 below the (d1, d2) floor, so q = 0
             (2, 0),  # 20 mod 6: b = 0 fails
             (1, 0),  # (20 - 13) mod 6: b = 1 fails; b = 2 would need 26 <= 20
         ]
-        assert third.checks[2].name == (
+        assert third[2].name == (
             "(d3 - 1*d2) mod d1 != 0, so b = 1 fails"
         )
 
@@ -132,13 +159,13 @@ class TestNoElementaryReduction:
         [(d, k) for d in (6, 8, 10) for k in (1, 2, 3, 5) if gcd(d, k) == 1],
     )
     def test_family_grid_excluded(self, d, k):
-        reports = no_elementary_reduction_check(d, k)
-        assert all(r.conclusion == REDUCTION_IMPOSSIBLE for r in reports)
+        cases = no_elementary_reduction_check(d, k)
+        assert all(row.holds for _, rows in cases for row in rows)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_degree_four_with_odd_k(self, k):
-        reports = no_elementary_reduction_check(4, k)
-        assert all(r.conclusion == REDUCTION_IMPOSSIBLE for r in reports)
+        cases = no_elementary_reduction_check(4, k)
+        assert all(row.holds for _, rows in cases for row in rows)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -216,7 +243,14 @@ class TestReductionAudit:
             "d": 6,
             "k": 1,
             "triple": [6, 13, 20],
-            "cases": [c.to_dict() for c in no_elementary_reduction_check(6, 1)],
+            "cases": [
+                {
+                    "coordinate": coordinate,
+                    "checks": [row.to_dict() for row in rows],
+                    "conclusion": "reduction_impossible",
+                }
+                for coordinate, rows in no_elementary_reduction_check(6, 1)
+            ],
             "type_iii": type_iii_check((6, 13, 20)).to_dict(),
             "all_excluded": True,
         }
@@ -225,9 +259,9 @@ class TestReductionAudit:
         for d, k in ((4, 1), (6, 1), (8, 3), (10, 7)):
             d1, d2, d3 = family_triple(d, k)
             first, second, third = reduction_audit(d, k).cases
-            for case, pair in ((first, (d2, d3)), (second, (d1, d3)),
-                               (third, (d1, d2))):
-                assert case.checks[0].rhs == su_lower_bound(
+            for (_, rows), pair in ((first, (d2, d3)), (second, (d1, d3)),
+                                    (third, (d1, d2))):
+                assert rows[0].rhs == su_lower_bound(
                     ReductionQuery(*pair, 1, 0)
                 )
 
@@ -236,12 +270,12 @@ class TestReductionAudit:
         # for each b < p that leaves a*d_j >= 0
         for d, k in ((4, 1), (6, 1), (8, 3), (10, 7), (12, 5)):
             triple = family_triple(d, k)
-            for i, case in enumerate(reduction_audit(d, k).cases):
+            for i, (_, rows) in enumerate(reduction_audit(d, k).cases):
                 j, l = (n for n in range(3) if n != i)
                 p = ReductionQuery(triple[j], triple[l], 0, 0).p
                 bs = [b for b in range(p) if b * triple[l] <= triple[i]]
-                assert len(case.checks) == 1 + len(bs)
-                for b, check in zip(bs, case.checks[1:]):
+                assert len(rows) == 1 + len(bs)
+                for b, check in zip(bs, rows[1:]):
                     assert check.holds is not any(
                         a * triple[j] + b * triple[l] == triple[i]
                         for a in range(triple[i] + 1)
