@@ -34,8 +34,8 @@ def main():
         triple, result = wild_family(params)
         certificate = result.certificate
         note = f"proof: {certificate.proof.kind}"
-        if certificate.exclusion is not None:
-            note += f" and {len(certificate.exclusion)} non-membership rows"
+        if certificate.proof.kind == "citation":
+            note += f" and {len(certificate.proof.checks)} non-membership rows"
         print(
             f"  {triple}: {result.status.value} by rule {result.rule_id};"
             f" {note}"

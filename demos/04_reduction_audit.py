@@ -47,13 +47,12 @@ def main():
         print(f"    -> {'reduction_impossible' if holds else 'inconclusive'}")
     print()
 
-    report = type_iii_check((6, 13, 20))
-    print(
-        "type-III exceptional shape:",
-        "excluded" if report.excluded else "possible",
-    )
-    print("  middle degree even:", report.condition1)
-    print("  divisibility/ratio condition:", report.condition2)
+    rows = type_iii_check((6, 13, 20))
+    excluded = all(check.holds for check in rows)
+    print("type-III exceptional shape:", "excluded" if excluded else "possible")
+    for check in rows:
+        mark = "ok" if check.holds else "XX"
+        print(f"    [{mark}] {check.name}  (lhs={check.lhs}, rhs={check.rhs})")
     print()
 
     _, result = wild_family(FamilyParams(Family.EVEN_GT_4, 6, 1))

@@ -13,14 +13,18 @@ The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
 them, drawn from four parametric families.  A family certificate keeps
 the classifier's own certificate as its ``proof``.  When that proof is a
-citation (R3, R4 or R6) it adds the ``exclusion``, the residue rows that
-show d3 is not in <d1, d2>; an R7 proof is the audit's own rows.
+citation (R3, R4 or R6), the citation's ``checks`` are the residue rows
+that show d3 is not in <d1, d2>; an R7 proof is the audit's own rows.
+Each proof is held once: a classification reads its realization from
+its certificate, the R8 map is built from the semigroup identity only
+when it is read, and a family hands over the witness it checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from math import gcd
 from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 
@@ -95,37 +99,39 @@ class WitnessCertificate:
 
 @dataclass(frozen=True)
 class CitationCertificate:
-    """Verdict by a known characterization; the fact used is spelled out."""
+    """Verdict by a known characterization; the fact used is spelled out,
+    and ``checks`` holds the rows that back it (none from the classifier;
+    a wild family adds its non-membership rows)."""
 
     kind: ClassVar[str] = "citation"
     statement: str
+    checks: Tuple[InequalityCheck, ...] = ()
 
     def data_dict(self) -> dict:
-        return {"statement": self.statement}
+        return {
+            "statement": self.statement,
+            "checks": [row.to_dict() for row in self.checks],
+        }
 
 
 @dataclass(frozen=True)
 class WildFamilyCertificate:
     """Membership of the triple in a certified wild family, with the
-    classifier's certificate of non-tameness as its ``proof``."""
+    classifier's certificate of non-tameness as its ``proof``; the
+    ``witness`` map realizing the triple is kept but not serialized."""
 
     kind: ClassVar[str] = "wild_family"
     family: str
     d: int
     k: int
-    exclusion: Optional[Tuple[InequalityCheck, ...]]
     proof: Union[CitationCertificate, ReductionAudit]
+    witness: PolyMap = field(compare=False, repr=False)
 
     def data_dict(self) -> dict:
         return {
             "family": self.family,
             "d": self.d,
             "k": self.k,
-            "exclusion": (
-                None
-                if self.exclusion is None
-                else [row.to_dict() for row in self.exclusion]
-            ),
             "proof": _certificate_document(self.proof),
         }
 
@@ -153,7 +159,17 @@ class Classification:
     status: TameStatus
     rule_id: Optional[str]
     certificate: Optional[Certificate]
-    realization: Optional[PolyMap] = None
+
+    @cached_property
+    def realization(self) -> Optional[PolyMap]:
+        """The certificate's witness map, or R8's map built from its
+        identity; None when the certificate names no map."""
+        certificate = self.certificate
+        if isinstance(certificate, SemigroupWitness):
+            return tame_witness(*self.triple, *certificate)
+        if isinstance(certificate, (WitnessCertificate, WildFamilyCertificate)):
+            return certificate.witness
+        return None
 
     def to_dict(self, include_realization: bool = True) -> dict:
         document = {
@@ -174,8 +190,9 @@ def classify_tame(triple) -> Classification:
 
     =====  ============================================================
     R1     d1 = 1: always tame; witness (x, y + x^d2, z + x^d3).
-    R8     d3 = a*d1 + b*d2 for some a, b >= 0: tame; triangular
-           witness built from the semigroup identity.
+    R8     d3 = a*d1 + b*d2 for some a, b >= 0: tame; the identity is
+           the certificate, and the realization is the triangular
+           witness built from it.
     R2     d1 = 2: tame (every such triple is realized, though the
            witness may be large); citation certificate.
     R3     d1 = 3: tame exactly when 3 | d2 (the semigroup case was
@@ -197,19 +214,12 @@ def classify_tame(triple) -> Classification:
             factors=(Triangular("y", X**d2), Triangular("z", X**d3))
         )
         return Classification(
-            triple, TameStatus.TAME, "R1", WitnessCertificate(witness), witness
+            triple, TameStatus.TAME, "R1", WitnessCertificate(witness)
         )
 
     member = semigroup_member(d1, d2, d3)
     if member is not None:  # R8
-        witness = tame_witness(d1, d2, d3, member.a, member.b)
-        return Classification(
-            triple,
-            TameStatus.TAME,
-            "R8",
-            member,
-            witness,
-        )
+        return Classification(triple, TameStatus.TAME, "R8", member)
 
     if d1 == 2:  # R2
         return Classification(
@@ -334,8 +344,9 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
     Builds the witness automorphism, checks that its sorted multidegree is
     the family triple, checks that the classifier refutes tameness, and
     returns the triple with a classification whose certificate records the
-    family data, the classifier's certificate as its proof and, when that
-    proof is a citation, the checked semigroup non-membership rows.
+    family data, the witness, and the classifier's certificate as its
+    proof; a citation proof gains the checked semigroup non-membership
+    rows as its ``checks``.
     """
     triple = params.triple()
     witness = params.witness()
@@ -350,21 +361,15 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
             f"classifier did not refute tameness of {triple}:"
             f" got {classification.status.value}"
         )
-    exclusion = None
-    if isinstance(classification.certificate, CitationCertificate):
-        exclusion = _nonmember_rows(triple)
-        if not all(row.holds for row in exclusion):
+    proof = classification.certificate
+    if isinstance(proof, CitationCertificate):
+        proof = replace(proof, checks=_nonmember_rows(triple))
+        if not all(row.holds for row in proof.checks):
             raise AssertionError(f"non-membership row for {triple} fails")
     certificate = WildFamilyCertificate(
-        params.family.value,
-        params.d,
-        params.k,
-        exclusion,
-        classification.certificate,
+        params.family.value, params.d, params.k, proof, witness
     )
-    return triple, replace(
-        classification, certificate=certificate, realization=witness
-    )
+    return triple, replace(classification, certificate=certificate)
 
 
 def default_family(d: int) -> Family:

@@ -452,7 +452,10 @@ def sheared_nagata(d: int, k: int) -> PolyMap:
     Its multidegree is (d, d + k(d+1), d + 2k(d+1)).
     """
     _check_int(d, "d", 1)
-    return compose(compose(transposition(), nagata(k)), z_shift(d))
+    _check_int(k, "k", 1)
+    return PolyMap(
+        factors=(Transposition(), NagataShear(k), Triangular("z", X**d))
+    )
 
 
 def short_progression_map(l: int, k: int) -> PolyMap:
@@ -465,13 +468,13 @@ def short_progression_map(l: int, k: int) -> PolyMap:
     """
     _check_int(l, "l", 1)
     _check_int(k, "k", 1)
-    inner = compose(transposition(), nagata(l))
-    f, g, h = inner.coords
+    inner = (Transposition(), NagataShear(l))
+    f, g, h = PolyMap(factors=inner).coords
     if g * g + f * h != INVARIANT_QUADRIC:
         raise AssertionError(
             "inner map lost the invariant quadric; construction is broken"
         )
-    return compose(compose(transposition(), nagata(k)), inner)
+    return PolyMap(factors=(Transposition(), NagataShear(k)) + inner)
 
 
 def long_progression_map(r: int, k: int) -> PolyMap:
@@ -483,7 +486,7 @@ def long_progression_map(r: int, k: int) -> PolyMap:
     _check_int(r, "r", 1)
     _check_int(k, "k", 1)
     if r == 1:
-        return compose(transposition(), nagata(k))
+        return PolyMap(factors=(Transposition(), NagataShear(k)))
     return sheared_nagata(r, k)
 
 

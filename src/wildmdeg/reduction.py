@@ -13,14 +13,14 @@ rows): one floor row from :func:`su_lower_bound` rules out q >= 1, and
 one residue row per remaining b shows the coordinate's degree is no
 a*d_j + b*d_l.  The same residue rows, taken for every b <= d3 // d2,
 show d3 is not in <d1, d2>; a wild family whose proof is a citation
-carries them as its ``exclusion`` (``wildmdeg.classify``).
-It separately checks the parity/ratio conditions that exclude the
+carries them as that citation's ``checks`` (``wildmdeg.classify``).
+:func:`type_iii_check` gives the parity/ratio rows that exclude the
 delicate type-III reduction shape.
 :func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
-when both exclude, that audit is itself the certificate of non-tameness
-(rule R7 of the classifier).
+when every row holds, that audit is itself the certificate of
+non-tameness (rule R7 of the classifier).
 Every fact is an :class:`InequalityCheck` row, re-checkable from its JSON
-alone, and every verdict is computed from its rows.
+alone, and every verdict is the conjunction of its rows.
 """
 
 from __future__ import annotations
@@ -161,56 +161,40 @@ def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
     return tuple(cases)
 
 
-@dataclass(frozen=True)
-class TypeThreeReport:
-    """Necessary conditions for a type-III reduction shape.
+def type_iii_check(triple: Tuple[int, int, int]) -> Tuple[InequalityCheck, ...]:
+    """Rows that exclude the type-III reduction shape of a sorted triple.
 
-    ``condition1``: the middle degree is even; ``condition2``: 3 divides
-    the smallest degree or the top/middle ratio is exactly 3/2.  The shape
-    is excluded whenever either condition fails.
+    The shape needs an even middle degree d2 and either 3 | d1 or
+    2*d3 = 3*d2.  So the rows are ``d2 mod 2 != 0`` when d2 is odd, and
+    otherwise ``d1 mod 3 != 0`` and ``2*d3 != 3*d2``; the shape is
+    excluded when every row holds.
     """
-
-    triple: Tuple[int, int, int]
-    condition1: bool
-    condition2: bool
-
-    @property
-    def excluded(self) -> bool:
-        return not (self.condition1 and self.condition2)
-
-    def to_dict(self) -> dict:
-        return {
-            "triple": list(self.triple),
-            "condition1": self.condition1,
-            "condition2": self.condition2,
-            "excluded": self.excluded,
-        }
-
-
-def type_iii_check(triple: Tuple[int, int, int]) -> TypeThreeReport:
-    """Evaluate the type-III necessary conditions on a sorted degree triple."""
     d1, d2, d3 = _validate_sorted_triple(triple)
-    return TypeThreeReport(
-        (d1, d2, d3), d2 % 2 == 0, (d1 % 3 == 0) or (2 * d3 == 3 * d2)
-    )
+    if d2 % 2:
+        return _checks([("d2 mod 2 != 0", d2 % 2, ne, 0)])
+    return _checks([
+        ("d1 mod 3 != 0", d1 % 3, ne, 0),
+        ("2*d3 != 3*d2", 2 * d3, ne, 3 * d2),
+    ])
 
 
 @dataclass(frozen=True)
 class ReductionAudit:
     """The R7 audit of one family triple: all three cases and type III.
 
-    ``excluded`` holds when every row of every case holds and the
-    type-III shape is excluded; then the triple is not a tame multidegree,
-    and the audit is the classifier's ``reduction_exclusion`` certificate.
-    A case's ``conclusion`` in the document is ``reduction_impossible``
-    when all its rows hold and ``inconclusive`` otherwise.
+    ``excluded`` holds when every row of every case and every type-III
+    row holds; then the triple is not a tame multidegree, and the audit
+    is the classifier's ``reduction_exclusion`` certificate.  In the
+    document a case's ``conclusion`` is ``reduction_impossible`` when all
+    its rows hold and ``inconclusive`` otherwise, and ``type_iii``'s
+    ``excluded`` is the conjunction of its rows.
     """
 
     kind: ClassVar[str] = "reduction_exclusion"
     d: int
     k: int
     cases: Tuple[Case, ...]
-    type_iii: TypeThreeReport
+    type_iii: Tuple[InequalityCheck, ...]
 
     @property
     def triple(self) -> Tuple[int, int, int]:
@@ -218,7 +202,7 @@ class ReductionAudit:
 
     @property
     def excluded(self) -> bool:
-        return self.type_iii.excluded and all(
+        return all(row.holds for row in self.type_iii) and all(
             row.holds for _, rows in self.cases for row in rows
         )
 
@@ -235,7 +219,11 @@ class ReductionAudit:
             "d": self.d,
             "k": self.k,
             "cases": cases,
-            "type_iii": self.type_iii.to_dict(),
+            "type_iii": {
+                "triple": list(self.triple),
+                "checks": [row.to_dict() for row in self.type_iii],
+                "excluded": all(row.holds for row in self.type_iii),
+            },
         }
 
     def to_dict(self) -> dict:

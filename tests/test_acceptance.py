@@ -170,7 +170,11 @@ def test_criterion_08_elementary_reductions_excluded():
                     row.holds for _, rows in cases for row in rows
                 ), (d, k)
                 triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
-                assert type_iii_check(triple).excluded, (d, k)
+                # every type-III row is an "lhs != rhs" fact, and all hold
+                rows = type_iii_check(triple)
+                assert rows and all(
+                    row.holds and row.lhs != row.rhs for row in rows
+                ), (d, k)
 
 
 def test_criterion_09_wild_enumeration_certified():

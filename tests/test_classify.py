@@ -7,6 +7,7 @@ test_reduction's frozen numbers.
 """
 
 import json
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -101,8 +102,10 @@ def residues(triple):
 
 
 def family_exclusion(family, d, k):
-    """The ``exclusion`` rows of the wild-family certificate of (d, k)."""
-    return wild_family(FamilyParams(family, d, k))[1].certificate.exclusion
+    """The rows of the wild-family certificate of (d, k): its proof's
+    ``checks`` when that proof is a citation, else None."""
+    proof = wild_family(FamilyParams(family, d, k))[1].certificate.proof
+    return proof.checks if isinstance(proof, CitationCertificate) else None
 
 
 class TestExclusionTraces:
@@ -232,6 +235,8 @@ class TestClassifyTame:
             result = classify_tame(triple)
             assert isinstance(result.certificate, CitationCertificate)
             assert result.certificate.statement
+            assert result.certificate.checks == ()
+            assert result.to_dict()["certificate"]["data"]["checks"] == []
             assert result.realization is None
 
     def test_r7_certificate_contents(self):
@@ -251,8 +256,26 @@ class TestClassifyTame:
             case["conclusion"] == "reduction_impossible"
             for case in certificate.data_dict()["cases"]
         )
-        assert certificate.type_iii.excluded is True
+        assert all(row.holds for row in certificate.type_iii)
+        assert certificate.data_dict()["type_iii"]["excluded"] is True
         assert result.realization is None
+
+    def test_witness_verdicts_realize_the_triple_in_order(self):
+        checked = 0
+        for d3 in range(1, 16):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    result = classify_tame((d1, d2, d3))
+                    if result.rule_id not in ("R1", "R8"):
+                        continue
+                    assert multidegree(result.realization) == result.triple
+                    checked += 1
+        assert checked == 400
+
+    def test_realization_is_read_once(self):
+        for triple in ((1, 3, 5), (2, 3, 5)):
+            result = classify_tame(triple)
+            assert result.realization is result.realization
 
     def test_r7_recovers_parameters(self):
         result = classify_tame((8, 35, 62))
@@ -391,26 +414,32 @@ class TestWildFamily:
         assert certificate.kind == "wild_family"
         assert certificate.family == "odd_1_mod_4"
         assert (certificate.d, certificate.k) == (5, 2)
-        assert certificate.exclusion == _nonmember_rows((5, 9, 13))
-        assert all(s.holds for s in certificate.exclusion)
-        assert certificate.proof == classify_tame(triple).certificate
+        assert certificate.proof.checks == _nonmember_rows((5, 9, 13))
+        assert all(s.holds for s in certificate.proof.checks)
+        assert certificate.proof.statement == (
+            classify_tame(triple).certificate.statement
+        )
         assert certificate.proof.kind == "citation"
 
     def test_even_families_keep_the_classifier_proof(self):
-        # d = 4 is proved by the R6 citation, so it carries the rows too;
-        # an R7 proof is the audit's own rows, and exclusion stays null
-        for params, exclusion in (
-            (FamilyParams(Family.EVEN_GT_4, 8, 1), None),
-            (FamilyParams(Family.D_EQUALS_4, 4, 3), _nonmember_rows((4, 19, 34))),
+        # d = 4 is proved by the R6 citation, which gains the rows; an R7
+        # proof is the classifier's audit, unchanged
+        _, classification = wild_family(FamilyParams(Family.EVEN_GT_4, 8, 1))
+        proof = classification.certificate.proof
+        assert proof == classify_tame((8, 17, 26)).certificate
+        triple, classification = wild_family(FamilyParams(Family.D_EQUALS_4, 4, 3))
+        proof = classification.certificate.proof
+        assert proof == replace(
+            classify_tame(triple).certificate, checks=_nonmember_rows((4, 19, 34))
+        )
+        for params in (
+            FamilyParams(Family.EVEN_GT_4, 8, 1),
+            FamilyParams(Family.D_EQUALS_4, 4, 3),
         ):
-            triple, classification = wild_family(params)
-            assert classification.certificate.exclusion == exclusion
+            _, classification = wild_family(params)
             proof = classification.certificate.proof
-            assert proof == classify_tame(triple).certificate
             data = classification.to_dict()["certificate"]["data"]
-            assert data["exclusion"] == (
-                None if exclusion is None else [s.to_dict() for s in exclusion]
-            )
+            assert set(data) == {"family", "d", "k", "proof"}
             assert data["proof"] == {"kind": proof.kind, "data": proof.data_dict()}
 
     def test_exclusion_rows_against_a_reachability_table(self):
@@ -428,13 +457,13 @@ class TestWildFamily:
                         continue
                 for params in ks[:8]:
                     triple, classification = wild_family(params)
-                    certificate = classification.certificate
-                    rows = certificate.exclusion
-                    if certificate.proof.kind == "citation":
+                    proof = classification.certificate.proof
+                    if proof.kind == "citation":
+                        rows = proof.checks
                         assert rows and all(s.holds for s in rows), params
                         assert [s.lhs for s in rows] == residues(triple)
                     else:
-                        assert rows is None, params
+                        assert isinstance(proof, ReductionAudit), params
                     assert not brute_force_member(*triple), params
                     checked.add(family)
         assert checked == set(Family)
@@ -452,16 +481,31 @@ class TestWildFamily:
             assert realization is not None
             assert tuple(sorted(multidegree(realization))) == triple
 
+    def test_realization_is_the_checked_witness(self):
+        for params in (
+            FamilyParams(Family.ODD_1_MOD_4, 5, 1),
+            FamilyParams(Family.EVEN_GT_4, 6, 1),
+        ):
+            _, classification = wild_family(params)
+            realization = classification.realization
+            assert realization is classification.certificate.witness
+            assert realization is classification.realization
+            # wild_family read its multidegree, so the fold already ran
+            assert realization._coords is not None
+
     def test_document_shape(self):
         _, classification = wild_family(FamilyParams(Family.ODD_GENERAL, 3, 1))
         document = classification.to_dict()
         assert document["certificate"]["kind"] == "wild_family"
         data = document["certificate"]["data"]
-        assert set(data) == {"family", "d", "k", "exclusion", "proof"}
-        assert data["exclusion"] == [
-            s.to_dict() for s in _nonmember_rows((3, 7, 11))
-        ]
-        assert data["proof"] == classify_tame((3, 7, 11)).to_dict()["certificate"]
+        assert set(data) == {"family", "d", "k", "proof"}
+        assert data["proof"] == {
+            "kind": "citation",
+            "data": {
+                "statement": classify_tame((3, 7, 11)).certificate.statement,
+                "checks": [s.to_dict() for s in _nonmember_rows((3, 7, 11))],
+            },
+        }
         json.dumps(document)
 
 
@@ -615,6 +659,6 @@ class TestSoundness:
             triple = (d1, d2, d3)
             assert not (
                 all(audit_case_holds(triple, i) for i in range(3))
-                and type_iii_check(triple).excluded
+                and all(row.holds for row in type_iii_check(triple))
             ), triple
         assert checked > 3000

@@ -55,8 +55,11 @@ class TestClassifyCommand:
         assert "      coordinate: first" in out
         assert "      coordinate: third" in out
         assert out.count("      conclusion: reduction_impossible") == 3
-        assert "  type_iii:\n    condition1: false" in out
-        assert "    excluded: true" in out
+        assert (
+            "  type_iii:\n    checks:\n"
+            "      [ok] d2 mod 2 != 0  (lhs=1, rhs=0)\n"
+            "    excluded: true\n"
+        ) in out
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "classify", "--format", "json", "2", "3", "5")
@@ -394,6 +397,17 @@ def test_golden_corpus(capsys, record):
     d = 4 family (an R6 citation) gained its non-membership ``exclusion``
     rows.
 
+    Recaptured when type III became rows and every certificate came to
+    hold its proof once (``type_iii``'s ``condition1`` and ``condition2``
+    became its ``checks``; a citation gained ``checks``; a wild family's
+    ``exclusion`` rows moved to ``proof.data.checks``):
+
+    - ``classify 6 13 20`` and ``classify --format json 6 13 20``, and
+      the three ``check-reductions`` entries (``type_iii``);
+    - ``classify 2 4 5``, ``3 4 5``, ``3 6 7``, ``5 7 9`` and ``4 7 10``,
+      text and JSON (R2, R3, R4 and R6 citations with ``checks: []``);
+    - the four ``wild-enum --format json`` entries, d = 3, 4, 5 and 6.
+
     stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
@@ -411,7 +425,9 @@ def _recheck(node, rows):
 
     Appends each check row found under ``node`` to ``rows``.  Uses only the
     document: the first relation token of a row's name, applied to its lhs
-    and rhs, must give its ``holds``.
+    and rhs, must give its ``holds``; a dict with ``checks`` and a verdict
+    (``conclusion`` or ``excluded``) must conclude exactly when all its
+    rows hold.
     """
     if isinstance(node, list):
         for item in node:
@@ -428,13 +444,14 @@ def _recheck(node, rows):
         return
     for value in node.values():
         _recheck(value, rows)
-    if "conclusion" in node:
+    if "checks" in node:
         holds = all(c["holds"] for c in node["checks"])
-        assert node["conclusion"] == (
-            "reduction_impossible" if holds else "inconclusive"
-        )
-    if "condition1" in node:
-        assert node["excluded"] is not (node["condition1"] and node["condition2"])
+        if "conclusion" in node:
+            assert node["conclusion"] == (
+                "reduction_impossible" if holds else "inconclusive"
+            )
+        if "excluded" in node:
+            assert node["excluded"] is holds
     if "all_excluded" in node:
         assert node["all_excluded"] is (
             node["type_iii"]["excluded"]
@@ -450,7 +467,9 @@ def _recheck(node, rows):
         ["wild-enum", "--format", "json", "--d", "9"],
         ["wild-enum", "--format", "json", "--d", "6"],
         ["wild-enum", "--format", "json", "--d", "4"],
+        ["wild-enum", "--format", "json", "--d", "7"],
         ["check-reductions", "--format", "json", "--d", "8", "--k", "3"],
+        ["check-reductions", "--format", "json", "--d", "4", "--k", "1"],
         ["classify", "--format", "json", "6", "13", "20"],
     ],
     ids=" ".join,

@@ -559,6 +559,23 @@ class TestNamedConstructions:
         with pytest.raises(ValueError):
             long_progression_map(1, 0)
 
+    @pytest.mark.parametrize(
+        "build, tokens",
+        [
+            (lambda: nagata(2), ["nagata(2)"]),
+            (lambda: sheared_nagata(6, 1), ["T", "nagata(1)", "shift(z, x^6)"]),
+            (lambda: short_progression_map(1, 2),
+             ["T", "nagata(2)", "T", "nagata(1)"]),
+            (lambda: long_progression_map(1, 3), ["T", "nagata(3)"]),
+            (lambda: long_progression_map(3, 1), ["T", "nagata(1)", "shift(z, x^3)"]),
+        ],
+    )
+    def test_constructors_return_factor_only_maps(self, build, tokens):
+        # no coordinate is expanded until it is read
+        map_ = build()
+        assert map_._coords is None
+        assert [g.token() for g in map_.factors] == tokens
+
 
 class TestTameWitness:
     def test_frozen_coordinates(self):

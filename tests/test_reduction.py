@@ -182,21 +182,38 @@ class TestNoElementaryReduction:
             no_elementary_reduction_check(6.0, 1)
 
 
+def type_iii_possible(triple):
+    """The two necessary conditions of the type-III shape, as first stated:
+    the middle degree is even, and 3 divides the smallest degree or the
+    top/middle ratio is exactly 3/2."""
+    d1, d2, d3 = triple
+    return d2 % 2 == 0 and (d1 % 3 == 0 or 2 * d3 == 3 * d2)
+
+
+def excluded(triple):
+    return all(row.holds for row in type_iii_check(triple))
+
+
 class TestTypeThree:
     def test_family_triple_excluded(self):
-        report = type_iii_check((6, 13, 20))
-        assert report.condition1 is False  # 13 is odd
-        assert report.condition2 is True  # 3 | 6
-        assert report.excluded is True
+        # 13 is odd, so one row settles it
+        assert type_iii_check((6, 13, 20)) == (
+            InequalityCheck("d2 mod 2 != 0", 1, 0, True),
+        )
+        assert excluded((6, 13, 20)) is True
 
     def test_not_excluded_examples(self):
         # both conditions hold: middle even, and ratio or divisibility
-        assert type_iii_check((1, 2, 3)).excluded is False
-        assert type_iii_check((3, 4, 6)).excluded is False
+        assert excluded((1, 2, 3)) is False
+        assert excluded((3, 4, 6)) is False
+        assert type_iii_check((3, 4, 6)) == (
+            InequalityCheck("d1 mod 3 != 0", 0, 0, False),
+            InequalityCheck("2*d3 != 3*d2", 12, 12, False),
+        )
 
     def test_excluded_examples(self):
-        assert type_iii_check((2, 3, 5)).excluded is True  # middle odd
-        assert type_iii_check((4, 6, 7)).excluded is True  # second fails
+        assert excluded((2, 3, 5)) is True  # middle odd
+        assert excluded((4, 6, 7)) is True  # second fails
 
     def test_family_members_always_excluded(self):
         for d in (4, 6, 8, 10, 12):
@@ -204,15 +221,21 @@ class TestTypeThree:
                 if gcd(d, k) != 1:
                     continue
                 triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
-                assert type_iii_check(triple).excluded
+                assert excluded(triple)
+
+    def test_rows_match_the_two_conditions(self):
+        for d3 in range(1, 61):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    triple = (d1, d2, d3)
+                    assert excluded(triple) is not type_iii_possible(triple), (
+                        triple
+                    )
 
     def test_to_dict(self):
-        assert type_iii_check((6, 13, 20)).to_dict() == {
-            "triple": [6, 13, 20],
-            "condition1": False,
-            "condition2": True,
-            "excluded": True,
-        }
+        assert [row.to_dict() for row in type_iii_check((6, 13, 20))] == [
+            {"name": "d2 mod 2 != 0", "lhs": 1, "rhs": 0, "holds": True},
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -251,7 +274,13 @@ class TestReductionAudit:
                 }
                 for coordinate, rows in no_elementary_reduction_check(6, 1)
             ],
-            "type_iii": type_iii_check((6, 13, 20)).to_dict(),
+            "type_iii": {
+                "triple": [6, 13, 20],
+                "checks": [
+                    {"name": "d2 mod 2 != 0", "lhs": 1, "rhs": 0, "holds": True},
+                ],
+                "excluded": True,
+            },
             "all_excluded": True,
         }
 
