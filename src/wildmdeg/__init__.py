@@ -45,7 +45,6 @@ from .maps import (
     Triangular,
     UnknownFactorization,
     compose,
-    identity,
     inverse,
     is_identity,
     long_progression_map,
@@ -54,9 +53,6 @@ from .maps import (
     sheared_nagata,
     short_progression_map,
     tame_witness,
-    transposition,
-    triangular,
-    z_shift,
 )
 from .derivations import (
     DEFAULT_MAX_ITERATIONS,
@@ -113,7 +109,6 @@ __all__ = [
     "Triangular",
     "UnknownFactorization",
     "compose",
-    "identity",
     "inverse",
     "is_identity",
     "long_progression_map",
@@ -122,9 +117,6 @@ __all__ = [
     "sheared_nagata",
     "short_progression_map",
     "tame_witness",
-    "transposition",
-    "triangular",
-    "z_shift",
     # derivations
     "DEFAULT_MAX_ITERATIONS",
     "Derivation",

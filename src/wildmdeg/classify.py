@@ -3,11 +3,12 @@
 Given a sorted triple ``1 <= d1 <= d2 <= d3`` that occurs as the
 multidegree of a polynomial automorphism of 3-space, :func:`classify_tame`
 decides whether some *tame* automorphism realizes the same triple.  Every
-verdict ships a machine-checkable certificate: the factor tokens of an
-explicit tame witness map, a semigroup identity (``SemigroupWitness``),
-an inequality audit excluding elementary reductions (``ReductionAudit``),
-or — where the verdict rests on a known characterization that yields no
-small witness — a citation record stating the fact used.
+verdict ships a machine-checkable certificate.  A tame verdict is proved
+by construction: the factor tokens of an explicit triangular witness map
+(R1, R2), or a semigroup identity (``SemigroupWitness``, R8) from which
+the map is built.  A not-tame verdict carries either a citation record
+stating the characterization used (R3, R4, R6) or an audit excluding
+elementary reductions and the type-III shape (``ReductionAudit``, R7).
 
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
@@ -36,7 +37,7 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .poly import X, _check_int, _validate_sorted_triple
+from .poly import X, Y, _check_int, _validate_sorted_triple
 from .reduction import (
     InequalityCheck,
     ReductionAudit,
@@ -99,9 +100,9 @@ class WitnessCertificate:
 
 @dataclass(frozen=True)
 class CitationCertificate:
-    """Verdict by a known characterization; the fact used is spelled out,
-    and ``checks`` holds the rows that back it (none from the classifier;
-    a wild family adds its non-membership rows)."""
+    """Not-tame verdict by a known characterization; the fact used is
+    spelled out, and ``checks`` holds the rows that back it (none from the
+    classifier; a wild family adds its non-membership rows)."""
 
     kind: ClassVar[str] = "citation"
     statement: str
@@ -183,27 +184,51 @@ class Classification:
         return document
 
 
+def _characterization(d1: int, d2: int, d3: int) -> Optional[Tuple[str, str]]:
+    """``(rule_id, characterization)`` of the cited rule R3, R4 or R6 that
+    covers a triple no witness rule took, or None.  Each characterization
+    says tameness needs d3 in <d1, d2>, which R8 has ruled out (R3 also
+    allows 3 | d2, which R2 has ruled out)."""
+    if d1 == 3:  # 3 does not divide d2: R2 took those triples
+        return "R3", (
+            f"(3, d2, d3) is a tame multidegree exactly when 3 | d2 or d3 is"
+            f" in <3, d2>; here 3 does not divide d2 = {d2} and"
+        )
+    if d1 % 2 == 1 and d2 % 2 == 1 and gcd(d1, d2) == 1:  # so 3 < d1 < d2
+        return "R4", (
+            "for odd coprime d1 < d2, (d1, d2, d3) is a tame multidegree"
+            " exactly when d3 is in <d1, d2>;"
+        )
+    if d1 == 4 and d2 % 2 == 1 and d2 >= 5 and d3 % 2 == 0 and d3 - d2 != 1:
+        return "R6", (
+            "for d2 odd and d3 even with d3 - d2 != 1, (4, d2, d3) is a tame"
+            " multidegree exactly when d3 is in <4, d2>;"
+        )
+    return None
+
+
 def classify_tame(triple) -> Classification:
     """Decide whether a sorted degree triple is the multidegree of a tame map.
 
-    Rules, tried in order (the first that applies wins):
+    Rules, tried in order (the first that applies wins).  A tame verdict
+    always carries a witness map, and a citation always means not tame:
 
     =====  ============================================================
-    R1     d1 = 1: always tame; witness (x, y + x^d2, z + x^d3).
+    R1     d1 = 1: tame; witness (x, y + x^d2, z + x^d3).
     R8     d3 = a*d1 + b*d2 for some a, b >= 0: tame; the identity is
            the certificate, and the realization is the triangular
            witness built from it.
-    R2     d1 = 2: tame (every such triple is realized, though the
-           witness may be large); citation certificate.
-    R3     d1 = 3: tame exactly when 3 | d2 (the semigroup case was
-           already consumed by R8); citation certificate.
+    R2     d1 | d2: tame; witness (x + y^d1, y + (x + y^d1)^(d2/d1),
+           z + y^d3).
+    R3     d1 = 3 (so 3 does not divide d2): not tame, since tameness
+           needs 3 | d2 or d3 in <3, d2>; citation certificate.
     R4     d1, d2 odd and coprime, 3 <= d1 < d2: tameness is equivalent
            to d3 being in <d1, d2>, which R8 ruled out: not tame.
     R6     d1 = 4, d2 odd >= 5, d3 even, d3 - d2 != 1: tameness again
            needs d3 in <d1, d2>: not tame.
     R7     d1 even > 4 and the triple matches (d, d+k(d+1), d+2k(d+1))
            with gcd(d, k) = 1: not tame, certified by the elementary-
-           reduction inequality audit plus the type-III exclusion.
+           reduction and type-III audit.
     —      anything else: unknown.
     =====  ============================================================
     """
@@ -221,64 +246,27 @@ def classify_tame(triple) -> Classification:
     if member is not None:  # R8
         return Classification(triple, TameStatus.TAME, "R8", member)
 
-    if d1 == 2:  # R2
-        return Classification(
-            triple,
-            TameStatus.TAME,
-            "R2",
-            CitationCertificate(
-                "every sorted degree triple with smallest entry 2 is the"
-                " multidegree of a tame automorphism of 3-space"
-            ),
-        )
-
-    if d1 == 3:  # R3
-        if d2 % 3 == 0:
-            return Classification(
-                triple,
-                TameStatus.TAME,
-                "R3",
-                CitationCertificate(
-                    f"(3, d2, d3) is a tame multidegree exactly when 3 | d2"
-                    f" or d3 is in <3, d2>; here 3 divides d2 = {d2}"
-                ),
+    if d2 % d1 == 0:  # R2
+        witness = PolyMap(
+            factors=(
+                Triangular("y", X ** (d2 // d1)),
+                Triangular("x", Y**d1),
+                Triangular("z", Y**d3),
             )
+        )
         return Classification(
-            triple,
-            TameStatus.NOT_TAME,
-            "R3",
-            CitationCertificate(
-                f"(3, d2, d3) is a tame multidegree exactly when 3 | d2 or"
-                f" d3 is in <3, d2>; here 3 does not divide d2 = {d2} and"
-                f" the exhaustive scan found no a, b >= 0 with"
-                f" 3a + {d2}b = {d3}"
-            ),
+            triple, TameStatus.TAME, "R2", WitnessCertificate(witness)
         )
 
-    if d1 % 2 == 1 and d2 % 2 == 1 and gcd(d1, d2) == 1 and 3 <= d1 < d2:
-        return Classification(  # R4
-            triple,
-            TameStatus.NOT_TAME,
-            "R4",
-            CitationCertificate(
-                f"for odd coprime d1 < d2, (d1, d2, d3) is a tame"
-                f" multidegree exactly when d3 is in <d1, d2>; the"
-                f" exhaustive scan found no a, b >= 0 with"
-                f" {d1}a + {d2}b = {d3}"
-            ),
+    cited = _characterization(d1, d2, d3)
+    if cited is not None:  # R3, R4, R6
+        rule_id, characterization = cited
+        statement = (
+            f"{characterization} the exhaustive scan found no a, b >= 0"
+            f" with {d1}a + {d2}b = {d3}"
         )
-
-    if d1 == 4 and d2 % 2 == 1 and d2 >= 5 and d3 % 2 == 0 and d3 - d2 != 1:
-        return Classification(  # R6
-            triple,
-            TameStatus.NOT_TAME,
-            "R6",
-            CitationCertificate(
-                f"for d2 odd and d3 even with d3 - d2 != 1, (4, d2, d3) is a"
-                f" tame multidegree exactly when d3 is in <4, d2>; the"
-                f" exhaustive scan found no a, b >= 0 with"
-                f" 4a + {d2}b = {d3}"
-            ),
+        return Classification(
+            triple, TameStatus.NOT_TAME, rule_id, CitationCertificate(statement)
         )
 
     k = (d2 - d1) // (d1 + 1)

@@ -34,12 +34,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .classify import (
-    TameStatus,
-    classify_tame,
-    enumerate_wild,
-    semigroup_member,
-)
+from .classify import TameStatus, classify_tame, enumerate_wild
 from .derivations import nagata_exp
 from .maps import (
     INVARIANT_QUADRIC,
@@ -146,12 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--d3", type=int, required=True)
-    p.add_argument(
-        "--a", type=int, help="exponent with a*d1 + b*d2 = d3 (default: found)"
-    )
-    p.add_argument(
-        "--b", type=int, help="exponent with a*d1 + b*d2 = d3 (default: found)"
-    )
+    exponent = "exponent with a*d1 + b*d2 = d3 (default: classify's witness)"
+    p.add_argument("--a", type=int, help=exponent)
+    p.add_argument("--b", type=int, help=exponent)
 
     p = commands.add_parser(
         "wild-enum",
@@ -278,16 +270,16 @@ def _construct_map(args) -> PolyMap:
     # witness
     if (args.a is None) != (args.b is None):
         raise ValueError("give both --a and --b, or neither")
-    a, b = args.a, args.b
-    if a is None:
-        member = semigroup_member(args.d1, args.d2, args.d3)
-        if member is None:
-            raise ValueError(
-                f"{args.d3} is not in the semigroup <{args.d1}, {args.d2}>;"
-                " no triangular witness of this shape exists"
-            )
-        a, b = member
-    return tame_witness(args.d1, args.d2, args.d3, a, b)
+    if args.a is not None:
+        return tame_witness(args.d1, args.d2, args.d3, args.a, args.b)
+    realization = classify_tame((args.d1, args.d2, args.d3)).realization
+    if realization is None:
+        raise ValueError(
+            f"{args.d3} is not in the semigroup <{args.d1}, {args.d2}> and"
+            f" {args.d1} does not divide {args.d2}, so neither triangular"
+            " witness shape applies"
+        )
+    return realization
 
 
 def _run_construct(args) -> int:
@@ -389,6 +381,7 @@ def _even_family_pairs(args):
     for d in _range_or_single(args.d, args.dmax, start=4):
         if d % 2:
             continue
+        _check_int(d, "d", 4)
         for k in _range_or_single(args.k, args.kmax):
             if gcd(d, k) != 1:
                 continue

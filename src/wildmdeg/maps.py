@@ -416,26 +416,6 @@ def is_identity(map_: PolyMap) -> bool:
     return map_.coords == (X, Y, Z)
 
 
-def identity() -> PolyMap:
-    return PolyMap(factors=())
-
-
-def transposition() -> PolyMap:
-    """The swap (x, y, z) -> (z, y, x)."""
-    return PolyMap(factors=(Transposition(),))
-
-
-def triangular(variable: str, shift: Polynomial) -> PolyMap:
-    """Elementary map adding ``shift`` (free of ``variable``) to one coordinate."""
-    return PolyMap(factors=(Triangular(variable, shift),))
-
-
-def z_shift(d: int) -> PolyMap:
-    """The triangular map (x, y, z + x^d)."""
-    _check_int(d, "d", 1)
-    return triangular("z", X**d)
-
-
 def nagata(k: int) -> PolyMap:
     """k-th power Nagata-type shear, the one generator ``NagataShear(k)``.
 
@@ -447,7 +427,7 @@ def nagata(k: int) -> PolyMap:
 
 
 def sheared_nagata(d: int, k: int) -> PolyMap:
-    """Transposition ∘ nagata(k) ∘ z_shift(d).
+    """Transposition ∘ nagata(k) ∘ (x, y, z + x^d).
 
     Its multidegree is (d, d + k(d+1), d + 2k(d+1)).
     """

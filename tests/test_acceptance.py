@@ -100,7 +100,7 @@ def test_criterion_06_classifier_ground_truth():
             (2, 3, 5): (TameStatus.TAME, "R8"),
             (2, 4, 8): (TameStatus.TAME, "R8"),
             (2, 4, 7): (TameStatus.TAME, "R2"),
-            (3, 6, 11): (TameStatus.TAME, "R3"),
+            (3, 6, 11): (TameStatus.TAME, "R2"),
             (3, 4, 5): (TameStatus.NOT_TAME, "R3"),
             (3, 7, 11): (TameStatus.NOT_TAME, "R3"),
             (5, 7, 9): (TameStatus.NOT_TAME, "R4"),

@@ -20,9 +20,14 @@ from wildmdeg import (
     ReductionAudit,
     ReductionQuery,
     TameStatus,
+    X,
+    Y,
+    Z,
     classify_tame,
+    compose,
     default_family,
     enumerate_wild,
+    inverse,
     multidegree,
     reduction_audit,
     semigroup_member,
@@ -175,10 +180,10 @@ TRUTH_TABLE = [
     ((4, 9, 13), TameStatus.TAME, "R8", "semigroup_witness"),
     ((4, 9, 17), TameStatus.TAME, "R8", "semigroup_witness"),
     ((5, 7, 12), TameStatus.TAME, "R8", "semigroup_witness"),
-    ((2, 4, 7), TameStatus.TAME, "R2", "citation"),
-    ((2, 6, 9), TameStatus.TAME, "R2", "citation"),
-    ((3, 6, 11), TameStatus.TAME, "R3", "citation"),
-    ((3, 9, 13), TameStatus.TAME, "R3", "citation"),
+    ((2, 4, 7), TameStatus.TAME, "R2", "witness_map"),
+    ((2, 6, 9), TameStatus.TAME, "R2", "witness_map"),
+    ((3, 6, 11), TameStatus.TAME, "R2", "witness_map"),
+    ((3, 9, 13), TameStatus.TAME, "R2", "witness_map"),
     ((3, 4, 5), TameStatus.NOT_TAME, "R3", "citation"),
     ((3, 5, 7), TameStatus.NOT_TAME, "R3", "citation"),
     ((3, 7, 11), TameStatus.NOT_TAME, "R3", "citation"),
@@ -220,6 +225,18 @@ class TestClassifyTame:
         assert document["certificate"]["data"] == {"factors": factors}
         assert document["realization"]["factors"] == factors
 
+    def test_r2_witness_realizes_triple(self):
+        # d1 | d2, and d3 is not in <d1, d2>: no rule before R2 applies
+        result = classify_tame((4, 8, 9))
+        assert (result.status, result.rule_id) == (TameStatus.TAME, "R2")
+        assert isinstance(result.certificate, WitnessCertificate)
+        assert result.realization is result.certificate.witness
+        factors = ["shift(y, x^2)", "shift(x, y^4)", "shift(z, y^9)"]
+        assert result.to_dict()["certificate"]["data"] == {"factors": factors}
+        x_coord = X + Y**4
+        assert result.realization.coords == (x_coord, Y + x_coord**2, Z + Y**9)
+        assert multidegree(classify_tame((4, 4, 5)).realization) == (4, 4, 5)
+
     def test_r8_certificate_identity(self):
         result = classify_tame((2, 3, 5))
         certificate = result.certificate
@@ -231,8 +248,9 @@ class TestClassifyTame:
         assert sorted(multidegree(result.realization)) == [2, 3, 5]
 
     def test_citations_have_statements_and_no_realization(self):
-        for triple in ((2, 4, 7), (3, 4, 5), (5, 7, 9), (4, 9, 14)):
+        for triple in ((3, 4, 5), (5, 7, 9), (4, 9, 14)):
             result = classify_tame(triple)
+            assert result.status is TameStatus.NOT_TAME
             assert isinstance(result.certificate, CitationCertificate)
             assert result.certificate.statement
             assert result.certificate.checks == ()
@@ -266,14 +284,31 @@ class TestClassifyTame:
             for d2 in range(1, d3 + 1):
                 for d1 in range(1, d2 + 1):
                     result = classify_tame((d1, d2, d3))
-                    if result.rule_id not in ("R1", "R8"):
+                    if result.status is not TameStatus.TAME:
                         continue
                     assert multidegree(result.realization) == result.triple
                     checked += 1
-        assert checked == 400
+        assert checked == 525
+
+    def test_r2_witnesses_are_automorphisms_on_a_grid(self):
+        # every R2 witness with d1 <= 8 and d3 <= 24: exact multidegree,
+        # and both compositions with its inverse are the identity
+        checked = 0
+        for d1 in range(2, 9):
+            for d2 in range(d1, 25, d1):
+                for d3 in range(d2, 25):
+                    result = classify_tame((d1, d2, d3))
+                    if result.rule_id != "R2":
+                        continue
+                    witness = result.realization
+                    assert multidegree(witness) == (d1, d2, d3)
+                    assert compose(inverse(witness), witness).is_identity()
+                    assert compose(witness, inverse(witness)).is_identity()
+                    checked += 1
+        assert checked == 285
 
     def test_realization_is_read_once(self):
-        for triple in ((1, 3, 5), (2, 3, 5)):
+        for triple in ((1, 3, 5), (2, 3, 5), (2, 4, 7)):
             result = classify_tame(triple)
             assert result.realization is result.realization
 
@@ -644,11 +679,17 @@ class TestSoundness:
     """No verdict or audit refutes a constructibly tame triple."""
 
     def test_tame_triples_are_never_called_not_tame(self):
-        tame = list(constructibly_tame_triples())
-        assert len(tame) > 5000
-        for triple in tame:
-            status = classify_tame(triple).status
-            assert status is not TameStatus.NOT_TAME, triple
+        # tame exactly when constructible, and a realization exactly when
+        # tame: so no constructible triple is called not_tame
+        tame = set(constructibly_tame_triples())
+        assert len(tame) == 5850
+        for d3 in range(1, SOUNDNESS_MAX + 1):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    result = classify_tame((d1, d2, d3))
+                    is_tame = result.status is TameStatus.TAME
+                    assert is_tame == (result.triple in tame), result.triple
+                    assert (result.realization is not None) == is_tame
 
     def test_tame_triples_never_pass_the_whole_audit(self):
         checked = 0

@@ -191,6 +191,19 @@ class TestConstructCommand:
         assert code == 0
         assert "multidegree: (3, 5, 11)" in out
 
+    def test_witness_defaults_to_the_classifier_realization(self, capsys):
+        # d1 | d2 with d3 outside <d1, d2>: R2's witness; d1 = 1: R1's
+        for d1, d2, d3 in (("4", "8", "9"), ("1", "3", "5"), ("2", "3", "7")):
+            _, expected, _ = run(capsys, "classify", d1, d2, d3)
+            code, out, _ = run(
+                capsys,
+                "construct", "witness", "--d1", d1, "--d2", d2, "--d3", d3,
+            )
+            assert code == 0
+            coordinates = expected.split("realization:\n", 1)[1]
+            assert out.startswith("coordinates:\n" + coordinates)
+            assert f"multidegree: ({d1}, {d2}, {d3})" in out
+
     def test_witness_lone_exponent_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -326,6 +339,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "passed 1/1 checks" in out
 
+    @pytest.mark.parametrize("suite", ["gcds", "reductions"])
+    def test_even_suites_reject_a_small_even_d(self, capsys, suite):
+        # (2, 5, 8) is no family triple: d = 2 is below the even family
+        code, out, err = run(capsys, "verify", "--suite", suite, "--d", "2")
+        assert code == 3
+        assert out == ""
+        assert "d must be at least 4, got 2" in err
+
     def test_gcds_suite_includes_progression_traces(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "gcds", "--d", "5", "--k", "2"
@@ -407,6 +428,11 @@ def test_golden_corpus(capsys, record):
     - ``classify 2 4 5``, ``3 4 5``, ``3 6 7``, ``5 7 9`` and ``4 7 10``,
       text and JSON (R2, R3, R4 and R6 citations with ``checks: []``);
     - the four ``wild-enum --format json`` entries, d = 3, 4, 5 and 6.
+
+    Recaptured when d1 | d2 became rule R2 with a triangular witness map,
+    so that a citation always means not tame: ``classify 2 4 5`` (R2) and
+    ``classify 3 6 7`` (R3 before), text and JSON, which now carry a
+    ``witness_map`` certificate and a ``realization``.
 
     stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])

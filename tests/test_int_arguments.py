@@ -27,12 +27,10 @@ from wildmdeg import (
     short_progression_map,
     tame_witness,
     type_iii_check,
-    z_shift,
 )
 
 ENTRY_POINTS = {
     "NagataShear": NagataShear,
-    "z_shift": z_shift,
     "nagata": nagata,
     "sheared_nagata.d": lambda v: sheared_nagata(v, 1),
     "sheared_nagata.k": lambda v: sheared_nagata(3, v),
