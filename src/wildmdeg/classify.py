@@ -23,11 +23,10 @@ when it is read, and a family hands over the witness it checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from math import gcd
-from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .maps import (
     PolyMap,
@@ -37,7 +36,7 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .poly import X, Y, _check_int, _validate_sorted_triple
+from .poly import X, Y, _Value, _check_int, _validate_sorted_triple
 from .reduction import (
     InequalityCheck,
     ReductionAudit,
@@ -87,26 +86,32 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
     return None
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(_Value):
     """A tame map whose multidegree is the triple, given by its factors."""
 
-    kind: ClassVar[str] = "witness_map"
-    witness: PolyMap
+    kind = "witness_map"
+    _fields = ("witness",)
+
+    def __init__(self, witness: PolyMap):
+        object.__setattr__(self, "witness", witness)
 
     def data_dict(self) -> dict:
         return {"factors": [g.token() for g in self.witness.factors]}
 
 
-@dataclass(frozen=True)
-class CitationCertificate:
+class CitationCertificate(_Value):
     """Not-tame verdict by a known characterization; the fact used is
     spelled out, and ``checks`` holds the rows that back it (none from the
     classifier; a wild family adds its non-membership rows)."""
 
-    kind: ClassVar[str] = "citation"
-    statement: str
-    checks: Tuple[InequalityCheck, ...] = ()
+    kind = "citation"
+    _fields = ("statement", "checks")
+
+    def __init__(
+        self, statement: str, checks: Tuple[InequalityCheck, ...] = ()
+    ):
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "checks", checks)
 
     def data_dict(self) -> dict:
         return {
@@ -115,18 +120,28 @@ class CitationCertificate:
         }
 
 
-@dataclass(frozen=True)
-class WildFamilyCertificate:
+class WildFamilyCertificate(_Value):
     """Membership of the triple in a certified wild family, with the
     classifier's certificate of non-tameness as its ``proof``; the
-    ``witness`` map realizing the triple is kept but not serialized."""
+    ``witness`` map realizing the triple is kept but not serialized, and
+    takes no part in equality, hashing or the repr."""
 
-    kind: ClassVar[str] = "wild_family"
-    family: str
-    d: int
-    k: int
-    proof: Union[CitationCertificate, ReductionAudit]
-    witness: PolyMap = field(compare=False, repr=False)
+    kind = "wild_family"
+    _fields = ("family", "d", "k", "proof")
+
+    def __init__(
+        self,
+        family: str,
+        d: int,
+        k: int,
+        proof: Union[CitationCertificate, ReductionAudit],
+        witness: PolyMap,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "witness", witness)
 
     def data_dict(self) -> dict:
         return {
@@ -152,14 +167,22 @@ def _certificate_document(certificate: Optional[Certificate]) -> dict:
     return {"kind": certificate.kind, "data": certificate.data_dict()}
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Outcome of :func:`classify_tame` for one degree triple."""
 
-    triple: Triple
-    status: TameStatus
-    rule_id: Optional[str]
-    certificate: Optional[Certificate]
+    _fields = ("triple", "status", "rule_id", "certificate")
+
+    def __init__(
+        self,
+        triple: Triple,
+        status: TameStatus,
+        rule_id: Optional[str],
+        certificate: Optional[Certificate],
+    ):
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "rule_id", rule_id)
+        object.__setattr__(self, "certificate", certificate)
 
     @cached_property
     def realization(self) -> Optional[PolyMap]:
@@ -284,18 +307,17 @@ def classify_tame(triple) -> Classification:
     return Classification(triple, TameStatus.UNKNOWN, None, None)
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """A wild family together with its two integer parameters."""
 
-    family: Family
-    d: int
-    k: int
+    _fields = ("family", "d", "k")
 
-    def __post_init__(self):
-        _check_int(self.d, "d", 1)
-        _check_int(self.k, "k", 1)
-        family, d, k = self.family, self.d, self.k
+    def __init__(self, family: Family, d: int, k: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        _check_int(d, "d", 1)
+        _check_int(k, "k", 1)
         if family is Family.ODD_1_MOD_4:
             if d < 5 or d % 4 != 1:
                 raise ValueError("family needs d = 1 (mod 4) with d > 1")
@@ -351,13 +373,15 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
         )
     proof = classification.certificate
     if isinstance(proof, CitationCertificate):
-        proof = replace(proof, checks=_nonmember_rows(triple))
+        proof = CitationCertificate(proof.statement, _nonmember_rows(triple))
         if not all(row.holds for row in proof.checks):
             raise AssertionError(f"non-membership row for {triple} fails")
     certificate = WildFamilyCertificate(
         params.family.value, params.d, params.k, proof, witness
     )
-    return triple, replace(classification, certificate=certificate)
+    return triple, Classification(
+        triple, classification.status, classification.rule_id, certificate
+    )
 
 
 def default_family(d: int) -> Family:

@@ -9,12 +9,11 @@ computes it with exact rational arithmetic and a termination budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .maps import INVARIANT_QUADRIC, PolyMap
-from .poly import Polynomial, X, Y, Z, ZERO, _check_int
+from .poly import Polynomial, X, Y, Z, ZERO, _Value, _check_int
 
 #: Iteration guard for `exp`: chains D^i(v) must reach 0 within this many steps.
 DEFAULT_MAX_ITERATIONS = 16
@@ -24,13 +23,17 @@ class NotNilpotentWithinBudget(RuntimeError):
     """An iterate chain D^i(v) failed to reach zero within the budget."""
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(_Value):
     """Derivation given by its images of x, y and z."""
 
-    image_x: Polynomial
-    image_y: Polynomial
-    image_z: Polynomial
+    _fields = ("image_x", "image_y", "image_z")
+
+    def __init__(
+        self, image_x: Polynomial, image_y: Polynomial, image_z: Polynomial
+    ):
+        object.__setattr__(self, "image_x", image_x)
+        object.__setattr__(self, "image_y", image_y)
+        object.__setattr__(self, "image_z", image_z)
 
     def __call__(self, poly: Polynomial) -> Polynomial:
         return (

@@ -47,7 +47,6 @@ in equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -58,6 +57,7 @@ from .poly import (
     Y,
     Z,
     _VAR_INDEX,
+    _Value,
     _check_int,
     _columns,
     _over_t,
@@ -78,8 +78,7 @@ class UnknownFactorization(ValueError):
     """Raised when an operation needs a factorization the map lacks."""
 
 
-@dataclass(frozen=True)
-class Transposition:
+class Transposition(_Value):
     """Swap of the outer variables: (x, y, z) -> (z, y, x)."""
 
     def applied_to(self, coords: Coords) -> Coords:
@@ -93,22 +92,20 @@ class Transposition:
         return "T"
 
 
-@dataclass(frozen=True)
-class Triangular:
+class Triangular(_Value):
     """Add a polynomial in the other two variables to one coordinate."""
 
-    variable: str
-    shift: Polynomial
+    _fields = ("variable", "shift")
 
-    def __post_init__(self):
-        if self.variable not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {self.variable!r}")
-        if not isinstance(self.shift, Polynomial):
-            raise TypeError(f"shift must be a Polynomial, got {self.shift!r}")
-        if self.shift.partial(self.variable):
-            raise ValueError(
-                f"triangular shift must not involve {self.variable!r}"
-            )
+    def __init__(self, variable: str, shift: Polynomial):
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "shift", shift)
+        if variable not in _VAR_INDEX:
+            raise ValueError(f"unknown variable {variable!r}")
+        if not isinstance(shift, Polynomial):
+            raise TypeError(f"shift must be a Polynomial, got {shift!r}")
+        if shift.partial(variable):
+            raise ValueError(f"triangular shift must not involve {variable!r}")
 
     def applied_to(self, coords: Coords) -> Coords:
         u, v, w = coords
@@ -127,8 +124,7 @@ class Triangular:
         return f"shift({self.variable}, {self.shift})"
 
 
-@dataclass(frozen=True)
-class NagataShear:
+class NagataShear(_Value):
     """Exponential shear along the invariant quadric q = y^2 + x*z.
 
     With q-power k and scale c this is
@@ -153,16 +149,15 @@ class NagataShear:
     and every factored map get their coordinates from it.
     """
 
-    power: int
-    scale: Coeff = 1
+    _fields = ("power", "scale")
 
-    def __post_init__(self):
-        _check_int(self.power, "shear power", 1)
-        if isinstance(self.scale, bool) or not isinstance(
-            self.scale, (int, Fraction)
-        ):
+    def __init__(self, power: int, scale: Coeff = 1):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "scale", scale)
+        _check_int(power, "shear power", 1)
+        if isinstance(scale, bool) or not isinstance(scale, (int, Fraction)):
             raise TypeError("shear scale must be int or Fraction")
-        if self.scale == 0:
+        if scale == 0:
             raise ValueError("shear scale must be nonzero")
 
     def applied_to(

@@ -156,6 +156,42 @@ def _check_int(value: object, name: str, minimum: int) -> None:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
 
 
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``_fields`` and sets each one in its
+    own ``__init__`` with ``object.__setattr__``, then checks them.
+    Equality and hashing compare those fields, for instances of the same
+    class only; the repr is ``Name(field=value, ...)``; assigning or
+    deleting an attribute raises ``AttributeError``.  Instances keep a
+    ``__dict__``, where a ``cached_property`` stores its value.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _validate_sorted_triple(triple) -> Tuple[int, int, int]:
     """The triple as a tuple of three sorted positive ints: TypeError for a
     non-int entry, ValueError for a wrong length or an unsorted triple."""

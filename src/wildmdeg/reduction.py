@@ -25,16 +25,14 @@ alone, and every verdict is the conjunction of its rows.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import gcd
 from operator import lt, ne
-from typing import ClassVar, Tuple
+from typing import Tuple
 
-from .poly import _check_int, _validate_sorted_triple
+from .poly import _Value, _check_int, _validate_sorted_triple
 
 
-@dataclass(frozen=True)
-class ReductionQuery:
+class ReductionQuery(_Value):
     """Inputs of the composition-degree lower bound.
 
     ``deg_f < deg_g`` are the degrees of the two coordinates used to build
@@ -43,19 +41,22 @@ class ReductionQuery:
     ``bracket_deg_lb`` is a lower bound (>= 2) for deg [f, g].
     """
 
-    deg_f: int
-    deg_g: int
-    q: int
-    r: int
-    bracket_deg_lb: int = 2
+    _fields = ("deg_f", "deg_g", "q", "r", "bracket_deg_lb")
 
-    def __post_init__(self):
-        _check_int(self.deg_f, "deg_f", 1)
-        _check_int(self.deg_g, "deg_g", self.deg_f + 1)
-        _check_int(self.q, "q", 0)
-        _check_int(self.bracket_deg_lb, "bracket_deg_lb", 2)
-        _check_int(self.r, "r", 0)
-        if self.r >= self.p:
+    def __init__(
+        self, deg_f: int, deg_g: int, q: int, r: int, bracket_deg_lb: int = 2
+    ):
+        object.__setattr__(self, "deg_f", deg_f)
+        object.__setattr__(self, "deg_g", deg_g)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "bracket_deg_lb", bracket_deg_lb)
+        _check_int(deg_f, "deg_f", 1)
+        _check_int(deg_g, "deg_g", deg_f + 1)
+        _check_int(q, "q", 0)
+        _check_int(bracket_deg_lb, "bracket_deg_lb", 2)
+        _check_int(r, "r", 0)
+        if r >= self.p:
             raise ValueError(f"r must satisfy 0 <= r < p = {self.p}")
 
     @property
@@ -73,18 +74,25 @@ def su_lower_bound(query: ReductionQuery) -> int:
     )
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(_Value):
     """One named numeric fact, the check row of every certificate: ``holds``
     is the first `` == | != | >= | <= | < | > `` of ``name`` on lhs, rhs."""
 
-    name: str
-    lhs: int
-    rhs: int
-    holds: bool
+    _fields = ("name", "lhs", "rhs", "holds")
+
+    def __init__(self, name: str, lhs: int, rhs: int, holds: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "holds", holds)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "name": self.name,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "holds": self.holds,
+        }
 
 
 # one coordinate's elementary-reduction audit: (coordinate, rows)
@@ -178,8 +186,7 @@ def type_iii_check(triple: Tuple[int, int, int]) -> Tuple[InequalityCheck, ...]:
     ])
 
 
-@dataclass(frozen=True)
-class ReductionAudit:
+class ReductionAudit(_Value):
     """The R7 audit of one family triple: all three cases and type III.
 
     ``excluded`` holds when every row of every case and every type-III
@@ -190,11 +197,20 @@ class ReductionAudit:
     ``excluded`` is the conjunction of its rows.
     """
 
-    kind: ClassVar[str] = "reduction_exclusion"
-    d: int
-    k: int
-    cases: Tuple[Case, ...]
-    type_iii: Tuple[InequalityCheck, ...]
+    kind = "reduction_exclusion"
+    _fields = ("d", "k", "cases", "type_iii")
+
+    def __init__(
+        self,
+        d: int,
+        k: int,
+        cases: Tuple[Case, ...],
+        type_iii: Tuple[InequalityCheck, ...],
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "type_iii", type_iii)
 
     @property
     def triple(self) -> Tuple[int, int, int]:
