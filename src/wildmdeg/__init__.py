@@ -25,14 +25,12 @@ Layers (bottom up):
 
 from .poly import (
     MAX_EXPONENT,
-    MINUS_INFINITY,
     ONE,
     VARIABLES,
     X,
     Y,
     Z,
     ZERO,
-    MinusInfinity,
     ParseError,
     Polynomial,
     parse,
@@ -90,8 +88,6 @@ __all__ = [
     "__version__",
     # poly
     "MAX_EXPONENT",
-    "MINUS_INFINITY",
-    "MinusInfinity",
     "ONE",
     "ParseError",
     "Polynomial",

@@ -50,9 +50,6 @@ class Derivation(_Value):
             self.image_z * factor,
         )
 
-    def __neg__(self) -> "Derivation":
-        return Derivation(-self.image_x, -self.image_y, -self.image_z)
-
 
 def nagata_derivation() -> Derivation:
     """The triangular derivation with D(x) = -2y, D(y) = z, D(z) = 0.

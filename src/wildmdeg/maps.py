@@ -27,10 +27,13 @@ the fold.
 
 The fold carries the quadric v^2 + u*w of its current coordinates
 (u, v, w) when it knows it: it starts from y^2 + x*z on (x, y, z), or
-from the inner map's quadric in :func:`compose`.  A transposition or a
-shear keeps it, and a triangular generator drops it; a shear that finds
-none computes v^2 + u*w itself.  A map built by a fold keeps the quadric
-of its coordinates, so ``compose(inverse(f), f)`` starts from f's.
+from the inner map's quadric in :func:`compose`.  Every generator has
+one entry, ``applied_to(coords, quadric=None)``, which returns the new
+coordinates and their quadric, None when unknown, and the fold is one
+loop over it.  A transposition keeps the quadric, a triangular generator
+drops it, and a shear keeps it, computing v^2 + u*w when it finds none.
+A map built by a fold keeps the quadric of its coordinates, so
+``compose(inverse(f), f)`` starts from f's.
 Every shear that reads a carried quadric first checks it against
 v^2 + u*w at one fixed point modulo the prime 2^61 - 1 (Schwartz,
 J. ACM 27, 1980) and raises ``ArithmeticError`` on a mismatch, so the
@@ -81,9 +84,11 @@ class UnknownFactorization(ValueError):
 class Transposition(_Value):
     """Swap of the outer variables: (x, y, z) -> (z, y, x)."""
 
-    def applied_to(self, coords: Coords) -> Coords:
+    def applied_to(
+        self, coords: Coords, quadric: Optional[Polynomial] = None
+    ) -> Tuple[Coords, Optional[Polynomial]]:
         u, v, w = coords
-        return (w, v, u)
+        return (w, v, u), quadric
 
     def inverted(self) -> "Transposition":
         return self
@@ -107,15 +112,13 @@ class Triangular(_Value):
         if shift.partial(variable):
             raise ValueError(f"triangular shift must not involve {variable!r}")
 
-    def applied_to(self, coords: Coords) -> Coords:
-        u, v, w = coords
-        s = self.shift.substitute(u, v, w)
+    def applied_to(
+        self, coords: Coords, quadric: Optional[Polynomial] = None
+    ) -> Tuple[Coords, None]:
+        out = list(coords)
         index = _VAR_INDEX[self.variable]
-        if index == 0:
-            return (u + s, v, w)
-        if index == 1:
-            return (u, v + s, w)
-        return (u, v, w + s)
+        out[index] = out[index] + self.shift.substitute(*coords)
+        return tuple(out), None
 
     def inverted(self) -> "Triangular":
         return Triangular(self.variable, -self.shift)
@@ -142,9 +145,11 @@ class NagataShear(_Value):
 
     A quadric given as ``quadric`` is checked against v^2 + u*w at one
     fixed point modulo 2^61 - 1, and ``ArithmeticError`` is raised when
-    they differ; without one, v^2 + u*w is computed.  When u, v and w are
-    monomials, as on every fold from (x, y, z), the outputs keep their
-    form over t = q^k, so that their powers are raised over (x, y, z, t).
+    they differ; without one, v^2 + u*w is computed.  The sheared
+    coordinates are returned with that quadric, which the shear keeps.
+    When u, v and w are monomials, as on every fold from (x, y, z), the
+    outputs keep their form over t = q^k, so that their powers are
+    raised over (x, y, z, t).
     This is the one place the shear formula is expanded: :func:`nagata`
     and every factored map get their coordinates from it.
     """
@@ -161,12 +166,9 @@ class NagataShear(_Value):
             raise ValueError("shear scale must be nonzero")
 
     def applied_to(
-        self, coords: Coords, *, quadric: Optional[Polynomial] = None
-    ) -> Coords:
-        return self._sheared(coords, _quadric_of(coords, quadric))
-
-    def _sheared(self, coords: Coords, quadric: Polynomial) -> Coords:
-        """The shear of ``coords``, whose v^2 + u*w is ``quadric``."""
+        self, coords: Coords, quadric: Optional[Polynomial] = None
+    ) -> Tuple[Coords, Polynomial]:
+        quadric = _quadric_of(coords, quadric)
         u, v, w = coords
         c = self.scale
         if len(u) == len(v) == len(w) == 1:
@@ -176,7 +178,7 @@ class NagataShear(_Value):
                 ((u, 0), (v * (-2 * c), 1), (w * (-c * c), 2)),
                 ((v, 0), (w * c, 1)),
             )
-            return (first, second, w)
+            return (first, second, w), quadric
         # each power is built on its own: the library's quadrics are
         # affinely independent, so q^2k is expanded directly, not from q^k
         q_k, q_2k = quadric**self.power, quadric ** (2 * self.power)
@@ -185,7 +187,7 @@ class NagataShear(_Value):
             first = u - (second * q_k) * (2 * c) + (w * q_2k) * (c * c)
         else:
             first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
-        return (first, second, w)
+        return (first, second, w), quadric
 
     def inverted(self) -> "NagataShear":
         return NagataShear(self.power, -self.scale)
@@ -278,13 +280,7 @@ def _apply_factors(
     None when unknown; returns the new coordinates and their quadric."""
     # factors are listed in composition order: the last one acts first
     for generator in reversed(factors):
-        if isinstance(generator, NagataShear):
-            quadric = _quadric_of(coords, quadric)
-            coords = generator._sheared(coords, quadric)
-        else:
-            coords = generator.applied_to(coords)
-            if isinstance(generator, Triangular):
-                quadric = None
+        coords, quadric = generator.applied_to(coords, quadric)
     return coords, quadric
 
 

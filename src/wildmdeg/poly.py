@@ -7,9 +7,8 @@ at arbitrary size.  An integral coefficient is always stored as an int.
 
 A polynomial is a mapping from exponent triples ``(ex, ey, ez)`` to
 nonzero coefficients, stored under packed keys (see "Arithmetic kernel"
-below).  The zero polynomial is the empty mapping, and its total degree
-is the sentinel ``MINUS_INFINITY`` (never ``-1``), which orders below
-every integer and absorbs integer addition.
+below).  The zero polynomial is the empty mapping; it has no total
+degree, and ``total_degree()`` raises ``ValueError`` on it.
 
 Text format, shared by :func:`parse` and ``str()``::
 
@@ -77,49 +76,6 @@ _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
 #: Largest exponent accepted by the parser and by ``Polynomial(mapping)``.
 MAX_EXPONENT = 10**9
-
-
-class MinusInfinity:
-    """Total degree of the zero polynomial.
-
-    A single instance exists (``MINUS_INFINITY``).  It compares strictly
-    below every integer and absorbs integer addition, so degree arithmetic
-    never silently treats the zero polynomial as a constant.
-    """
-
-    _instance: Optional["MinusInfinity"] = None
-
-    def __new__(cls) -> "MinusInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other: object) -> bool:
-        return not isinstance(other, MinusInfinity)
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return isinstance(other, MinusInfinity)
-
-    def __add__(self, other: object) -> "MinusInfinity":
-        if isinstance(other, (int, MinusInfinity)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __repr__(self) -> str:
-        return "MINUS_INFINITY"
-
-
-MINUS_INFINITY = MinusInfinity()
-
-Degree = Union[int, MinusInfinity]
 
 
 def _check_coeff(value: object) -> Coeff:
@@ -317,27 +273,14 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def total_degree(self) -> Degree:
-        """Maximal term degree; ``MINUS_INFINITY`` for the zero polynomial."""
+    def total_degree(self) -> int:
+        """Maximal term degree.  Raises ValueError on zero."""
         if not self._keys:
-            return MINUS_INFINITY
-        return max(_degrees(self))
+            raise ValueError("the zero polynomial has no total degree")
+        return max(map(sum, zip(*_columns(self))))
 
     def has_integer_coefficients(self) -> bool:
         return not self._fractions
-
-    def top_form(self) -> "Polynomial":
-        """Sum of the terms of maximal total degree.  Raises on zero."""
-        if not self._keys:
-            raise ValueError("the zero polynomial has no top form")
-        degrees = _degrees(self)
-        degree = max(degrees)
-        return Polynomial._raw(
-            {k: c for (k, c), d in zip(self._keys.items(), degrees) if d == degree},
-            self._width,
-            self._top,
-            self._fractions,
-        )
 
     def partial(self, variable: str) -> "Polynomial":
         """Formal partial derivative with respect to ``variable``."""
@@ -584,11 +527,6 @@ def _decoded(poly: Polynomial) -> dict:
     test of a base of three or four terms call it.
     """
     return dict(zip(zip(*_columns(poly)), poly._keys.values()))
-
-
-def _degrees(poly: Polynomial) -> List[int]:
-    """The total degree of each of ``poly``'s terms, in stored order."""
-    return list(map(sum, zip(*_columns(poly))))
 
 
 def _repacked(poly: Polynomial, width: int) -> dict:

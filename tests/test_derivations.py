@@ -69,11 +69,6 @@ class TestDerivation:
             p = random_poly(rng)
             assert scaled(p) == INVARIANT_QUADRIC * d(p)
 
-    def test_negation(self):
-        d = nagata_derivation()
-        assert (-d)(X) == 2 * Y
-        assert (-d)(INVARIANT_QUADRIC) == ZERO
-
 
 class TestExp:
     def test_zero_derivation_gives_identity(self):

@@ -74,19 +74,26 @@ def expanded_power(a, n):
 class TestGenerators:
     def test_transposition(self):
         swap = Transposition()
-        assert swap.applied_to((X, Y, Z)) == (Z, Y, X)
+        assert swap.applied_to((X, Y, Z)) == ((Z, Y, X), None)
+        assert swap.applied_to((X, Y, Z), INVARIANT_QUADRIC) == (
+            (Z, Y, X),
+            INVARIANT_QUADRIC,
+        )
         assert swap.inverted() == swap
         assert swap.token() == "T"
 
     def test_triangular(self):
         gen = Triangular("z", X**2)
-        assert gen.applied_to((X, Y, Z)) == (X, Y, Z + X**2)
+        assert gen.applied_to((X, Y, Z), INVARIANT_QUADRIC) == (
+            (X, Y, Z + X**2),
+            None,
+        )
         assert gen.inverted() == Triangular("z", -(X**2))
         assert gen.token() == "shift(z, x^2)"
 
     def test_triangular_substitutes_shift_through_current_coords(self):
         gen = Triangular("y", X * Z)
-        coords = gen.applied_to((Z, Y, X))  # shift evaluated at (z, _, x)
+        coords, _ = gen.applied_to((Z, Y, X))  # shift evaluated at (z, _, x)
         assert coords == (Z, Y + Z * X, X)
 
     def test_triangular_validation(self):
@@ -104,8 +111,10 @@ class TestGenerators:
 
     def test_nagata_shear_inverse_round_trip(self):
         coords = (X, Y, Z)
-        forward = NagataShear(2).applied_to(coords)
-        assert NagataShear(2, -1).applied_to(forward) == coords
+        forward, quadric = NagataShear(2).applied_to(coords)
+        assert quadric == INVARIANT_QUADRIC
+        backward = NagataShear(2, -1).applied_to(forward, quadric)
+        assert backward == (coords, quadric)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 2)], ids=str)
@@ -114,10 +123,10 @@ class TestGenerators:
         # smaller than v + c*w*q^k; on the output of the inverse shear it is
         # built from v + c*w*q^k, which collapses to y
         coords = (X, Y, Z + X**3)
-        backward = NagataShear(k, -c).applied_to(coords)
+        backward, _ = NagataShear(k, -c).applied_to(coords)
         for start, second_is_smaller in ((coords, False), (backward, True)):
             u, v, w = start
-            first, second, third = NagataShear(k, c).applied_to(start)
+            (first, second, third), _ = NagataShear(k, c).applied_to(start)
             assert (len(second) < len(v)) == second_is_smaller
             q = expanded_product(v, v) + expanded_product(u, w)
             q_k = expanded_power(q, k)
@@ -331,6 +340,25 @@ def quadric_of(coords):
 class TestCarriedQuadric:
     """The fold carries v^2 + u*w of its coordinates, checked at a point."""
 
+    def test_the_fold_applies_each_generator_through_applied_to(
+        self, monkeypatch
+    ):
+        calls = {}
+        for kind in (Transposition, Triangular, NagataShear):
+            calls[kind] = 0
+
+            def counted(self, *args, _kind=kind, _applied=kind.applied_to):
+                calls[_kind] += 1
+                return _applied(self, *args)
+
+            monkeypatch.setattr(kind, "applied_to", counted)
+        map_ = sheared_nagata(6, 5)
+        assert multidegree(map_) == (6, 41, 76)
+        # one call per factor: (Transposition, NagataShear, Triangular)
+        assert calls == {Transposition: 1, Triangular: 1, NagataShear: 1}
+        assert compose(inverse(map_), map_).is_identity()
+        assert calls == {Transposition: 2, Triangular: 2, NagataShear: 2}
+
     def test_point_check_rejects_a_wrong_quadric(self):
         with pytest.raises(ArithmeticError):
             NagataShear(1).applied_to((X, Y, Z), quadric=INVARIANT_QUADRIC + X)
@@ -345,7 +373,7 @@ class TestCarriedQuadric:
         # the point check cannot reduce 1/(2^61 - 1); it compares exactly
         shift = Polynomial({(0, 0, 2): Fraction(1, 2**61 - 1)})
         folded = compose(nagata(1), PolyMap(factors=(Triangular("x", shift),)))
-        assert folded.coords == NagataShear(1).applied_to((X + shift, Y, Z))
+        assert folded.coords == NagataShear(1).applied_to((X + shift, Y, Z))[0]
         with pytest.raises(ArithmeticError):
             NagataShear(1).applied_to(
                 (X + shift, Y, Z), quadric=INVARIANT_QUADRIC + Z * shift * 2
@@ -407,7 +435,7 @@ class TestCarriedQuadric:
         ]
         for coords in starts:
             for k in (1, 2):
-                image = NagataShear(k, c).applied_to(coords)
+                image, _ = NagataShear(k, c).applied_to(coords)
                 assert quadric_of(image) == quadric_of(coords)
 
     @pytest.mark.parametrize(

@@ -196,11 +196,10 @@ def agrees(poly, reference):
     for term in PROBES:
         assert poly.coefficient(term) == reference.get(term, 0)
     if reference:
-        degree = max(map(sum, reference))
-        assert poly.total_degree() == degree
-        assert poly.top_form().terms() == {
-            t: c for t, c in reference.items() if sum(t) == degree
-        }
+        assert poly.total_degree() == max(map(sum, reference))
+    else:
+        with pytest.raises(ValueError):
+            poly.total_degree()
     for index, name in enumerate("xyz"):
         assert poly.partial(name).terms() == ref_partial(reference, index)
     return True
