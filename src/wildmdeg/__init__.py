@@ -26,7 +26,6 @@ Layers (bottom up):
 from .poly import (
     MAX_EXPONENT,
     ONE,
-    VARIABLES,
     X,
     Y,
     Z,
@@ -91,7 +90,6 @@ __all__ = [
     "ONE",
     "ParseError",
     "Polynomial",
-    "VARIABLES",
     "X",
     "Y",
     "Z",

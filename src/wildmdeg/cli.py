@@ -406,7 +406,7 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
     for r in _range_or_single(args.d, args.dmax, start=3):
         if r % 2 == 0:
             continue
-        _check_int(r, "r", 3)
+        _check_int(r, "d", 3)
         for k in _range_or_single(args.k, args.kmax):
             if gcd(r, k) != 1:
                 continue

@@ -32,6 +32,8 @@ one entry, ``applied_to(coords, quadric=None)``, which returns the new
 coordinates and their quadric, None when unknown, and the fold is one
 loop over it.  A transposition keeps the quadric, a triangular generator
 drops it, and a shear keeps it, computing v^2 + u*w when it finds none.
+A shear writes each new coordinate once, as a form over t = q^k, the
+same way for every input (see :class:`NagataShear`).
 A map built by a fold keeps the quadric of its coordinates, so
 ``compose(inverse(f), f)`` starts from f's.
 Every shear that reads a carried quadric first checks it against
@@ -134,22 +136,22 @@ class NagataShear(_Value):
     (x - 2c*y*q^k - c^2*z*q^2k,  y + c*z*q^k,  z); scale -1 gives the
     inverse of scale +1.
 
-    Applied to coordinates (u, v, w), with q = v^2 + u*w, the second
-    output is s = v + c*w*q^k, and the first has two equal forms,
-    u - 2c*v*q^k - c^2*w*q^2k = u - 2c*s*q^k + c^2*w*q^2k.
-    The one whose factor of q^k, v or s, has fewer terms is used.  When
-    the shear undoes an earlier one, as in every check that a map
-    composed with its inverse is the identity, s is the v that the
-    earlier shear was given.  In the wild maps' checks that is one term
-    while v has hundreds, so the product with q^k becomes a shift.
+    Applied to coordinates (u, v, w), with q = v^2 + u*w and t = q^k, the
+    outputs are two forms over t, each summed by ``poly._over_t``:
+    second = v + (c*w)*t, and first = u + (-2c*s)*t + (-c^2*w)*t^2 with
+    s = v, or equally u + (-2c*s)*t + (c^2*w)*t^2 with s = second; the
+    shorter s is used.  When the shear undoes an earlier one, as
+    in every check that a map composed with its inverse is the identity,
+    second is the v that the earlier shear was given.  In the wild maps'
+    checks that is one term while v has hundreds, so the product with t
+    becomes a shift.  An output whose pieces are all one term, as on every
+    fold from (x, y, z), keeps its form, and its powers are raised over
+    (x, y, z, t).
 
     A quadric given as ``quadric`` is checked against v^2 + u*w at one
     fixed point modulo 2^61 - 1, and ``ArithmeticError`` is raised when
     they differ; without one, v^2 + u*w is computed.  The sheared
     coordinates are returned with that quadric, which the shear keeps.
-    When u, v and w are monomials, as on every fold from (x, y, z), the
-    outputs keep their form over t = q^k, so that their powers are
-    raised over (x, y, z, t).
     This is the one place the shear formula is expanded: :func:`nagata`
     and every factored map get their coordinates from it.
     """
@@ -170,23 +172,11 @@ class NagataShear(_Value):
     ) -> Tuple[Coords, Polynomial]:
         quadric = _quadric_of(coords, quadric)
         u, v, w = coords
-        c = self.scale
-        if len(u) == len(v) == len(w) == 1:
-            first, second = _over_t(
-                quadric,
-                self.power,
-                ((u, 0), (v * (-2 * c), 1), (w * (-c * c), 2)),
-                ((v, 0), (w * c, 1)),
-            )
-            return (first, second, w), quadric
-        # each power is built on its own: the library's quadrics are
-        # affinely independent, so q^2k is expanded directly, not from q^k
-        q_k, q_2k = quadric**self.power, quadric ** (2 * self.power)
-        second = v + (w * q_k) * c
-        if len(second) < len(v):
-            first = u - (second * q_k) * (2 * c) + (w * q_2k) * (c * c)
-        else:
-            first = u - (v * q_k) * (2 * c) - (w * q_2k) * (c * c)
+        c, t_powers = self.scale, {}
+        second = _over_t(quadric, self.power, t_powers, ((v, 0), (w * c, 1)))
+        s, sign = (second, 1) if len(second) < len(v) else (v, -1)
+        form = ((u, 0), (s * (-2 * c), 1), (w * (sign * c * c), 2))
+        first = _over_t(quadric, self.power, t_powers, form)
         return (first, second, w), quadric
 
     def inverted(self) -> "NagataShear":

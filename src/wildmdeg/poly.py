@@ -46,12 +46,13 @@ trinomials such as y^2 + x*z + x^4), each term of the multinomial
 expansion is a distinct monomial, so the expansion is written out
 directly and the work equals the output size; each row of binomial
 coefficients is built incrementally, C(r, j+1) = C(r, j)*(r - j)/(j + 1).
-The outputs of a Nagata shear on monomial inputs, such as
-a = z + 2y*t - x*t^2 with t = q^k and q = y^2 + x*z, are dependent over
-(x, y, z) but keep their few-term form over (x, y, z, t); a power of one
-is expanded over those four variables by the multinomial theorem, terms
-that meet added up, and t is substituted once at the end, each t-degree
-m multiplied by q^(k*m).
+A Nagata shear builds each output from a form over t = q^k, with
+q = y^2 + x*z, such as a = z + 2y*t - x*t^2.  An output whose form has
+one-term pieces, as on monomial inputs, is dependent over (x, y, z) but
+keeps that form; a power of it is expanded over (x, y, z, t) by the
+multinomial theorem, terms that meet added up, and t is substituted once
+at the end, each t-degree m multiplied by q^(k*m).  The output's
+exponent bound is its form's reach, so the power's width holds them all.
 Every other base A is raised by successive kernel products: A^2 is one
 symmetric square, and each higher power is the one before times A.
 
@@ -71,7 +72,6 @@ from typing import Iterable, List, Mapping, Optional, Tuple, Union
 Term = Tuple[int, int, int]
 Coeff = Union[int, Fraction]
 
-VARIABLES = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
 #: Largest exponent accepted by the parser and by ``Polynomial(mapping)``.
@@ -714,35 +714,36 @@ def _expand(
         binomial = binomial * (remaining - j) // (j + 1)
 
 
-def _over_t(quadric: Polynomial, power: int, *forms: tuple) -> tuple:
-    """For each nonempty form, the sum of monomial * quadric^(power*m)
-    over its pairs (monomial, m), each monomial a one-term polynomial.
+def _over_t(quadric: Polynomial, power: int, t_powers: dict, form: tuple) -> Polynomial:
+    """The sum of piece * t^m over the pairs (piece, m) of ``form``, with
+    t = quadric^power; ``t_powers`` keeps each t^m built, {m: t^m}, for
+    the caller's next form.  Each t^m is expanded directly as
+    quadric^(power*m): the library's quadrics are affinely independent.
 
-    Each polynomial keeps its form over t = quadric^power, from which
-    ``_packed_powers`` raises it (see ``_t_power``).  It is kept only when
-    the polynomial holds a Fraction or neither the form nor ``quadric``
-    does, so that the callers' normal form of the powers' coefficients
-    covers the t-route's too.
+    The result keeps its form over t, from which ``_packed_powers`` raises
+    it (see ``_t_power``), when every piece is one term, and then only when
+    the result holds a Fraction or neither the form nor ``quadric`` does,
+    so that the callers' normal form of the powers' coefficients covers
+    the t-route's too.  Built from its form, the result's ``_top`` is the
+    form's reach, max(piece._top + power*m*quadric._top), for a nonzero
+    ``quadric``; with a zero one the result is the one-term piece of m = 0,
+    which no power raises over t.
     """
-    exponents = sorted({m for form in forms for _, m in form})
-    q_powers = dict(zip(exponents, (quadric ** (power * m) for m in exponents)))
-    results = []
-    for form in forms:
-        result = ZERO
-        for monomial, m in form:
-            result = result + monomial * q_powers[m]
-        integral = not quadric._fractions and not any(
-            monomial._fractions for monomial, _ in form
-        )
-        if result._fractions or integral:
-            result._t_form = (form, quadric, power)
-        results.append(result)
-    return tuple(results)
+    result = ZERO
+    for piece, m in form:
+        if m not in t_powers:
+            t_powers[m] = quadric ** (power * m)
+        result = result + piece * t_powers[m]
+    one_term = all(len(piece) == 1 for piece, _ in form)
+    fractions = quadric._fractions or any(piece._fractions for piece, _ in form)
+    if one_term and (result._fractions or not fractions):
+        result._t_form = (form, quadric, power)
+    return result
 
 
-def _t_power(form: tuple, n: int, width: int) -> Optional[dict]:
+def _t_power(form: tuple, n: int, width: int) -> dict:
     """Packed A^n for a polynomial A with the form (terms, q, k) over
-    t = q^k, or None when ``width`` cannot hold this route's exponents.
+    t = q^k; ``width`` holds n * A._top, which is n times the form's reach.
 
     The form's terms get a fourth packed field for t, above the three of
     x, y, z, and A^n over t is their multinomial expansion, terms that
@@ -750,10 +751,6 @@ def _t_power(form: tuple, n: int, width: int) -> Optional[dict]:
     m are multiplied by the packed q^(k*m).
     """
     terms, quadric, power = form
-    # the largest exponent of any term of this route
-    reach = max(monomial._top + power * m * quadric._top for monomial, m in terms)
-    if (n * reach).bit_length() > width:
-        return None
     shift = 3 * width
     low = (1 << shift) - 1
     packed = []
@@ -783,12 +780,13 @@ def _packed_powers(
 
     Affinely independent bases expand by the multinomial theorem.  Every
     other base takes its form over t = q^k when a shear left one
-    (``_t_power``), and otherwise successive kernel products: A^2 is one
-    symmetric square, and each higher power is the one before times A,
-    starting from the highest power already found.  With ``remember`` the
-    requested powers are also kept in the memo ``base._powers`` and read
-    back from it on later calls.  ``width`` must hold every exponent up to
-    ``max(exponents) * base._top``.
+    (``_t_power``; the base's ``_top`` is its form's reach, so ``width``
+    holds that route's exponents), and otherwise successive kernel
+    products: A^2 is one symmetric square, and each higher power is the
+    one before times A, starting from the highest power already found.
+    With ``remember`` the requested powers are also kept in the memo
+    ``base._powers`` and read back from it on later calls.  ``width`` must
+    hold every exponent up to ``max(exponents) * base._top``.
     """
     if not base._keys:
         return {e: () for e in exponents}
@@ -806,8 +804,9 @@ def _packed_powers(
         elif e == 1:
             found[e] = step
         else:
-            power = _t_power(base._t_form, e, width) if base._t_form else None
-            if power is None:
+            if base._t_form:
+                power = _t_power(base._t_form, e, width)
+            else:
                 for j in range(n + 1, e + 1):
                     out: dict = {}
                     if j == 2:

@@ -10,10 +10,10 @@ This module packages those bounds as executable checks.  For the
 even-degree family triple (d, d+k(d+1), d+2k(d+1)) it audits each
 coordinate from the triple alone.  Each case is a pair (coordinate,
 rows): one floor row from :func:`su_lower_bound` rules out q >= 1, and
-one residue row per remaining b shows the coordinate's degree is no
-a*d_j + b*d_l.  The same residue rows, taken for every b <= d3 // d2,
-show d3 is not in <d1, d2>; a wild family whose proof is a citation
-carries them as that citation's ``checks`` (``wildmdeg.classify``).
+the rows of :func:`_nonmember_rows` show the coordinate's degree d_i is
+not in <d_j, d_l>, one residue row per b <= d_i // d_l.  The same rule
+shows d3 is not in <d1, d2>; a wild family whose proof is a citation
+carries those rows as that citation's ``checks`` (``wildmdeg.classify``).
 :func:`type_iii_check` gives the parity/ratio rows that exclude the
 delicate type-III reduction shape.
 :func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
@@ -113,25 +113,19 @@ def _checks(rows) -> Tuple[InequalityCheck, ...]:
     )
 
 
-def _residue_checks(
-    triple, target: int, small: int, large: int, bound: int
+def _nonmember_rows(
+    triple, target: int = 2, small: int = 0, large: int = 1
 ) -> Tuple[InequalityCheck, ...]:
     """Rows "(d_t - b*d_l) mod d_s != 0, so b = .. fails", one for each
-    b < ``bound`` with b*d_l <= d_t, where t, s and l are the indices
-    ``target``, ``small`` and ``large`` into ``triple``.  When all hold,
-    no a >= 0 and b < ``bound`` give a*d_s + b*d_l = d_t."""
+    b <= d_t // d_l, where t, s and l are the indices ``target``, ``small``
+    and ``large`` into ``triple``; every row holds exactly when d_t is not
+    in <d_s, d_l>.  By default they show d3 is not in <d1, d2>."""
     t, s, l = triple[target], triple[small], triple[large]
     return _checks(
         (f"(d{target + 1} - {b}*d{large + 1}) mod d{small + 1} != 0,"
          f" so b = {b} fails", (t - b * l) % s, ne, 0)
-        for b in range(min(bound, t // l + 1))
+        for b in range(t // l + 1)
     )
-
-
-def _nonmember_rows(triple) -> Tuple[InequalityCheck, ...]:
-    """Rows showing d3 is not in <d1, d2>: one residue row for each
-    b <= d3 // d2; the argument holds when every row holds."""
-    return _residue_checks(triple, 2, 0, 1, triple[2] // triple[1] + 1)
 
 
 # (coordinate, i, j, l): coordinate i is reduced by G(f_j, f_l), d_j < d_l
@@ -146,9 +140,11 @@ def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
     d_j < d_l; write G's degree in f_l as q*p + b with 0 <= b < p, p the
     :class:`ReductionQuery` ``p`` of (d_j, d_l).  The first row,
     d_i < :func:`su_lower_bound` at q = 1, r = 0, forces q = 0, so that
-    deg G = a*d_j + b*d_l; each further row shows that d_i - b*d_l is no
-    multiple of d_j for one b < p.  The case excludes the reduction
-    exactly when all its rows hold.
+    deg G = a*d_j + b*d_l; the further rows, from :func:`_nonmember_rows`,
+    show d_i is not in <d_j, d_l>, each that d_i - b*d_l is no multiple of
+    d_j for one b <= d_i // d_l.  A representation of d_i with the least
+    b has b < p, so these rows hold exactly when no a >= 0 and b < p give
+    d_i.  The case excludes the reduction exactly when all its rows hold.
     """
     _check_int(d, "d", 4)
     _check_int(k, "k", 1)
@@ -164,8 +160,7 @@ def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
             f"d{i + 1} < su_lower_bound(ReductionQuery(d{j + 1}, d{l + 1},"
             f" 1, 0)), so q = 0", triple[i], lt, su_lower_bound(query)
         )])
-        residues = _residue_checks(triple, i, j, l, query.p)
-        cases.append((coordinate, floor + residues))
+        cases.append((coordinate, floor + _nonmember_rows(triple, i, j, l)))
     return tuple(cases)
 
 

@@ -40,7 +40,7 @@ from wildmdeg.classify import (
     WildFamilyCertificate,
     WitnessCertificate,
 )
-from wildmdeg.reduction import _nonmember_rows, _residue_checks
+from wildmdeg.reduction import _nonmember_rows
 
 
 def brute_force_member(d1, d2, d3):
@@ -671,7 +671,7 @@ def audit_case_holds(triple, i):
     j, l = (n for n in range(3) if n != i)
     query = ReductionQuery(triple[j], triple[l], 1, 0)
     return triple[i] < su_lower_bound(query) and all(
-        c.holds for c in _residue_checks(triple, i, j, l, query.p)
+        c.holds for c in _nonmember_rows(triple, i, j, l)
     )
 
 

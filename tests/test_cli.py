@@ -347,6 +347,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "d must be at least 4, got 2" in err
 
+    def test_gcds_suite_names_the_d_flag_for_a_small_odd_d(self, capsys):
+        # an odd --d is a progression's r, but the error names the flag
+        code, out, err = run(capsys, "verify", "--suite", "gcds", "--d", "1")
+        assert code == 3
+        assert out == ""
+        assert "d must be at least 3, got 1" in err
+
     def test_gcds_suite_includes_progression_traces(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "gcds", "--d", "5", "--k", "2"

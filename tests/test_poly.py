@@ -514,6 +514,22 @@ class TestPowerOverT:
                     assert substituted == power * Z
                     assert _int_normal_form(substituted)
 
+    @pytest.mark.parametrize("c", [1, -1, 2, Fraction(1, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "start", STARTS + [(X**1023, 3 * Y**2, Z**1000)], ids=str
+    )
+    def test_outputs_are_bounded_by_their_form(self, start, c):
+        # _t_power packs A^n at a width that holds n * A._top, so A._top
+        # must be the reach of A's form over t
+        for k in (1, 2, 3):
+            outputs, quadric = NagataShear(k, c).applied_to(start)
+            for output in outputs[:2]:
+                pieces, q, power = output._t_form
+                assert q is quadric and power == k
+                assert output._top == max(
+                    piece._top + k * m * q._top for piece, m in pieces
+                )
+
     def test_t_route_forms_no_product_chain(self, monkeypatch):
         (first, second, _), _ = NagataShear(3, -1).applied_to((Z, Y, X))
         expected = {n: Polynomial(first.terms()) ** n for n in (2, 5, 9)}

@@ -117,10 +117,11 @@ def wide_polynomials(max_terms=3):
     return st.dictionaries(terms, coefficients, max_size=max_terms).map(Polynomial)
 
 
-def ref_add(a, b, sign=1):
+def ref_add(a, b, scale=1):
+    """a + scale*b on term maps."""
     out = dict(a)
     for term, coeff in b.items():
-        value = out.get(term, 0) + sign * coeff
+        value = out.get(term, 0) + scale * coeff
         if value:
             out[term] = value
         else:
@@ -319,3 +320,46 @@ def test_point_check_residue_is_exact_evaluation(poly):
         assert maps._residue(poly) == expected
         # the second call reads the value kept on the polynomial
         assert maps._residue(poly) == expected
+
+
+# -- the Nagata shear against the tuple-keyed reference -------------------------
+
+short_coordinates = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3),
+    coefficients.filter(bool),
+    min_size=1,
+    max_size=3,
+).map(Polynomial)
+
+
+def ref_sheared(coords, k, c):
+    """(u - 2c*v*q^k - c^2*w*q^2k, v + c*w*q^k, w) with q = v^2 + u*w, on
+    term maps."""
+    u, v, w = (coord.terms() for coord in coords)
+    q = ref_add(ref_mul(v, v), ref_mul(u, w))
+    q_k, q_2k = ref_pow(q, k), ref_pow(q, 2 * k)
+    first = ref_add(u, ref_mul(v, q_k), -2 * c)
+    first = ref_add(first, ref_mul(w, q_2k), -c * c)
+    second = ref_add(v, ref_mul(w, q_k), c)
+    return first, second, w
+
+
+@REPRODUCIBLE
+@given(
+    st.tuples(short_coordinates, short_coordinates, short_coordinates),
+    st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    st.sampled_from([1, 2]),
+)
+def test_shear_matches_the_tuple_reference(coords, c, k):
+    shear = NagataShear(k, c)
+    sheared, _ = shear.applied_to(coords)
+    for output, reference in zip(sheared, ref_sheared(coords, k, c)):
+        assert output.terms() == reference
+    # after its inverse, the shear's second output is the original v, most
+    # often shorter than the v it was given: the first output is then
+    # formed from it, the shorter factor of q^k
+    undone, _ = NagataShear(k, -c).applied_to(coords)
+    (first, second, w), _ = shear.applied_to(undone)
+    assert (first, second, w) == coords
+    for output, reference in zip((first, second, w), ref_sheared(undone, k, c)):
+        assert output.terms() == reference
