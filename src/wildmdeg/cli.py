@@ -16,7 +16,8 @@ Subcommands
     (D, D+K(D+1), D+2K(D+1)).  Exit code 0 when every case is excluded.
 ``verify --suite NAME``
     Re-run a family of internal cross-checks.  Exit code 0 when all pass;
-    bounds that select no check at all are a parameter error.
+    bounds that select no check at all, or that the suite does not read,
+    are a parameter error.
 
 Every subcommand accepts ``--format {text,json}`` (after the subcommand
 name); JSON output is deterministic (sorted keys, two-space indent).
@@ -175,13 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         required=True,
         choices=("exp-vs-closed-form", "identities", "reductions", "gcds"),
-        help="which checks to run",
+        help="which checks to run; a bound that the suite does not read is an error",
     )
-    p.add_argument("--kmax", type=int, default=5, help="largest k (default: 5)")
-    p.add_argument("--dmax", type=int, default=14, help="largest d (default: 14)")
-    p.add_argument("--lmax", type=int, default=4, help="largest l (default: 4)")
-    p.add_argument("--d", type=int, help="check a single d instead of a range")
-    p.add_argument("--k", type=int, help="check a single k instead of a range")
+    p.add_argument("--kmax", type=int, help="largest k, every suite (default: 5)")
+    p.add_argument(
+        "--dmax", type=int, help="largest d, not exp-vs-closed-form (default: 14)"
+    )
+    p.add_argument(
+        "--lmax", type=int, help="largest l, identities without --d (default: 4)"
+    )
+    p.add_argument("--d", type=int, help="check a single d instead of up to --dmax")
+    p.add_argument("--k", type=int, help="check a single k instead of up to --kmax")
     return parser
 
 
@@ -323,8 +328,8 @@ def _run_wild_enum(args) -> int:
                 f" status={result.status.value}"
             )
             if args.with_maps and result.realization is not None:
-                for line in _map_lines(result.realization, "  realization"):
-                    print(line)
+                for line in _map_lines(result.realization, "realization"):
+                    print(f"  {line}")
     return 0
 
 
@@ -421,6 +426,20 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
 
 
 def _run_verify(args) -> int:
+    # every suite reads k and all but exp-vs-closed-form read d, each as a
+    # single value or else up to its maximum; identities reads lmax over a
+    # range of d.  A bound given but not read is an error.
+    read = {"k" if args.k is not None else "kmax"}
+    if args.suite != "exp-vs-closed-form":
+        read.add("d" if args.d is not None else "dmax")
+    if args.suite == "identities" and args.d is None:
+        read.add("lmax")
+    for name in ("d", "k", "dmax", "kmax", "lmax"):
+        if getattr(args, name) is not None and name not in read:
+            raise ValueError(f"suite {args.suite!r} does not read --{name}")
+    for name, default in (("kmax", 5), ("dmax", 14), ("lmax", 4)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     checks: List[Tuple[str, bool]] = []
     suite = {
         "exp-vs-closed-form": _suite_exp,

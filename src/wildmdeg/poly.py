@@ -36,9 +36,8 @@ to the kernel, and exponent triples appear only at the API boundary:
 ``hash()`` and :func:`parse`.  Equality and hashing compare values,
 whatever the widths.  Terms that cancel are pruned once, when a product
 is finished.  A product with a one-term factor, or a power of one, only
-shifts or scales exponents and skips the kernel.  A square ``p * p`` of
-one object forms each unordered pair of terms once and doubles it, which
-halves its term products.
+shifts or scales exponents and skips the kernel; every other product of
+two term lists, a square included, is the one pairwise kernel.
 
 Powers take one of three exact methods.  When the exponent vectors of the
 base are affinely independent (every monomial and binomial, and
@@ -53,8 +52,8 @@ keeps that form; a power of it is expanded over (x, y, z, t) by the
 multinomial theorem, terms that meet added up, and t is substituted once
 at the end, each t-degree m multiplied by q^(k*m).  The output's
 exponent bound is its form's reach, so the power's width holds them all.
-Every other base A is raised by successive kernel products: A^2 is one
-symmetric square, and each higher power is the one before times A.
+Every other base A is raised by successive kernel products: each power
+is the one before times A.
 
 :meth:`Polynomial.substitute` builds only the powers of each image that
 occur in the polynomial.  For images off the multinomial path it keeps
@@ -184,8 +183,8 @@ class Polynomial:
     # vectors are affinely independent
     # _point: None until `maps._residue` caches the value at its point
     __slots__ = (
-        "_keys", "_width", "_top", "_hash", "_powers", "_fractions", "_t_form",
-        "_affine", "_point",
+        "_keys", "_width", "_top", "_powers", "_fractions", "_t_form", "_affine",
+        "_point",
     )
 
     def __init__(self, terms: Optional[Mapping[Term, Coeff]] = None):
@@ -214,7 +213,7 @@ class Polynomial:
         self._width = width
         self._top = top
         self._fractions = fractions
-        self._hash = self._powers = self._t_form = self._affine = self._point = None
+        self._powers = self._t_form = self._affine = self._point = None
 
     @classmethod
     def _raw(cls, keys: dict, width: int, top: int, fractions: bool) -> "Polynomial":
@@ -339,14 +338,9 @@ class Polynomial:
             top = self._top + other._top
             width = max(self._width, other._width, _width(top))
             out: dict = {}
-            if other is self:
-                _accumulate_square(out, list(_repacked(self, width).items()))
-            else:
-                _accumulate(
-                    out,
-                    _repacked(self, width).items(),
-                    _repacked(other, width).items(),
-                )
+            _accumulate(
+                out, _repacked(self, width).items(), _repacked(other, width).items()
+            )
             return Polynomial._raw(
                 _pruned(out), width, top, self._fractions or other._fractions
             )
@@ -407,11 +401,11 @@ class Polynomial:
         ]
         out: dict = {}
         for *exponents, coeff in zip(*columns, self._keys.values()):
-            # coeff * x_image^ex * y_image^ey * z_image^ez, smallest factor
-            # first; a constant term multiplies the packed 1, [(0, 1)]
-            factors = sorted(
-                (table[e] for table, e in zip(tables, exponents) if e), key=len
-            ) or [[(0, 1)]]
+            # coeff * x_image^ex * y_image^ey * z_image^ez; a constant term
+            # multiplies the packed 1, [(0, 1)]
+            factors = [
+                table[e] for table, e in zip(tables, exponents) if e
+            ] or [[(0, 1)]]
             head = [(0, coeff)]
             for factor in factors[:-1]:
                 partial: dict = {}
@@ -426,17 +420,11 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._width == other._width:
-            return self._keys == other._keys
-        if len(self._keys) != len(other._keys):
-            return False
         width = max(self._width, other._width)
         return _repacked(self, width) == _repacked(other, width)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(_decoded(self).items())))
-        return self._hash
+        return hash(tuple(sorted(_decoded(self).items())))
 
     # -- rendering ----------------------------------------------------------
 
@@ -596,22 +584,6 @@ def _accumulate(out: dict, a: PackedTerms, b: PackedTerms) -> None:
     get = out.get
     for ka, ca in a:
         for kb, cb in b:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-
-
-def _accumulate_square(out: dict, a: list) -> None:
-    """Add the square of ``a`` into ``out``, like ``_accumulate(out, a, a)``.
-
-    Each unordered pair of distinct terms is formed once, with its
-    coefficient doubled: n(n+1)/2 term products instead of n^2.
-    """
-    get = out.get
-    for i, (ka, ca) in enumerate(a):
-        k = ka + ka
-        out[k] = get(k, 0) + ca * ca
-        ca += ca
-        for kb, cb in a[i + 1 :]:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
 
@@ -782,8 +754,8 @@ def _packed_powers(
     other base takes its form over t = q^k when a shear left one
     (``_t_power``; the base's ``_top`` is its form's reach, so ``width``
     holds that route's exponents), and otherwise successive kernel
-    products: A^2 is one symmetric square, and each higher power is the
-    one before times A, starting from the highest power already found.
+    products: each power is the one before times A, starting from the
+    highest power already found.
     With ``remember`` the requested powers are also kept in the memo
     ``base._powers`` and read back from it on later calls.  ``width`` must
     hold every exponent up to ``max(exponents) * base._top``.
@@ -807,12 +779,9 @@ def _packed_powers(
             if base._t_form:
                 power = _t_power(base._t_form, e, width)
             else:
-                for j in range(n + 1, e + 1):
+                for _ in range(e - n):
                     out: dict = {}
-                    if j == 2:
-                        _accumulate_square(out, list(step))
-                    else:
-                        _accumulate(out, last, step)
+                    _accumulate(out, last, step)
                     power = _pruned(out)
                     last = power.items()
             found[e] = power.items()

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,23 @@ class TestVerifyCommand:
         assert out == ""
         assert "select no checks" in err
 
+    @pytest.mark.parametrize(
+        "bounds, flag",
+        [
+            (("--suite", "exp-vs-closed-form", "--d", "3"), "--d"),
+            (("--suite", "exp-vs-closed-form", "--dmax", "3"), "--dmax"),
+            (("--suite", "reductions", "--lmax", "2"), "--lmax"),
+            (("--suite", "identities", "--d", "3", "--lmax", "2"), "--lmax"),
+            (("--suite", "gcds", "--d", "6", "--dmax", "8"), "--dmax"),
+            (("--suite", "gcds", "--k", "1", "--kmax", "3"), "--kmax"),
+        ],
+    )
+    def test_unread_bound_is_usage_error(self, capsys, bounds, flag):
+        code, out, err = run(capsys, "verify", *bounds)
+        assert code == 3
+        assert out == ""
+        assert f"suite {bounds[1]!r} does not read {flag}" in err
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--suite", "everything"])
@@ -425,6 +443,11 @@ def test_golden_corpus(capsys, record):
     d = 4 family (an R6 citation) gained its non-membership ``exclusion``
     rows.
 
+    Added when the ``--with-maps`` text came to indent coordinates below
+    their ``realization:`` heading: the text ``wild-enum --d 3 --count 2
+    --with-maps``, and ``verify --suite identities --kmax 1 --dmax 1
+    --lmax 2``, whose grid includes the lemma1 checks.
+
     Recaptured when type III became rows and every certificate came to
     hold its proof once (``type_iii``'s ``condition1`` and ``condition2``
     became its ``checks``; a citation gained ``checks``; a wild family's
@@ -453,18 +476,73 @@ _COMPARE = {
 }
 
 
-def _recheck(node, rows):
-    """Recompute every row's ``holds`` and every verdict from its rows.
+# (coordinate, i, j, l): coordinate i is reduced by G(f_j, f_l)
+_CASES = (("first", 0, 1, 2), ("second", 1, 0, 2), ("third", 2, 0, 1))
+
+# the side conditions of the citation rules (README rule table)
+_CITED = {
+    "R3": lambda d1, d2, d3: d1 == 3,
+    "R4": lambda d1, d2, d3: d1 % 2 == d2 % 2 == 1 and gcd(d1, d2) == 1
+    and 3 <= d1 < d2,
+    "R6": lambda d1, d2, d3: d1 == 4 and d2 % 2 == 1 and d2 >= 5
+    and d3 % 2 == 0 and d3 - d2 != 1,
+}
+
+
+def _values(rows, relation):
+    """The (lhs, rhs) pairs of ``rows``, each of which must use ``relation``."""
+    assert all(_RELATION.search(row["name"])[1] == relation for row in rows)
+    return [(row["lhs"], row["rhs"]) for row in rows]
+
+
+def _residues(t, s, l):
+    """The residue rows' (lhs, rhs) showing t is not in <s, l>."""
+    return [((t - b * l) % s, 0) for b in range(t // l + 1)]
+
+
+def _recheck_triple(node, triple):
+    """Tie the rows of ``node`` to the degree triple they are about."""
+    d1, d2, d3 = triple
+    if "cases" in node:
+        assert [case["coordinate"] for case in node["cases"]] == [
+            coordinate for coordinate, *_ in _CASES
+        ]
+        for case, (_, *indices) in zip(node["cases"], _CASES):
+            t, s, l = (triple[n] for n in indices)
+            floor, *residues = case["checks"]
+            p = s // gcd(s, l)
+            assert _values([floor], "<") == [(t, p * l - l - s + 2)]
+            assert _values(residues, "!=") == _residues(t, s, l)
+    if "excluded" in node:
+        type_iii = [(d2 % 2, 0)] if d2 % 2 else [(d1 % 3, 0), (2 * d3, 3 * d2)]
+        assert _values(node["checks"], "!=") == type_iii
+    if node.get("kind") == "citation" and node["data"]["checks"]:
+        assert _values(node["data"]["checks"], "!=") == _residues(d3, d1, d2)
+    rule = node.get("rule_id")
+    if rule in _CITED:
+        # a citation fires only after R8 and R2 fail
+        assert _CITED[rule](*triple) and d2 % d1
+        assert all(t % d1 for t, _ in _residues(d3, d1, d2))
+    if rule == "R7":
+        d, k = d1, (d2 - d1) // (d1 + 1)
+        assert d % 2 == 0 and d > 4 and gcd(d, k) == 1
+        assert triple == (d, d + k * (d + 1), d + 2 * k * (d + 1))
+
+
+def _recheck(node, rows, triple=None):
+    """Recompute every row and every verdict from the degree triple.
 
     Appends each check row found under ``node`` to ``rows``.  Uses only the
     document: the first relation token of a row's name, applied to its lhs
     and rhs, must give its ``holds``; a dict with ``checks`` and a verdict
     (``conclusion`` or ``excluded``) must conclude exactly when all its
-    rows hold.
+    rows hold.  Each row's lhs and rhs are recomputed from the triple
+    (a ``triple`` key, or an audit's d and k), and every row that a
+    reduction audit or a cited rule needs must be there.
     """
     if isinstance(node, list):
         for item in node:
-            _recheck(item, rows)
+            _recheck(item, rows, triple)
         return
     if not isinstance(node, dict):
         return
@@ -475,8 +553,18 @@ def _recheck(node, rows):
         assert _COMPARE[match[1]](node["lhs"], node["rhs"]) is node["holds"]
         rows.append(node)
         return
+    if "cases" in node:
+        d, k = node["d"], node["k"]
+        audited = (d, d + k * (d + 1), d + 2 * k * (d + 1))
+        assert triple in (None, audited)
+        triple = audited
+    if "triple" in node:
+        assert triple in (None, tuple(node["triple"]))
+        triple = tuple(node["triple"])
+    if triple is not None:
+        _recheck_triple(node, triple)
     for value in node.values():
-        _recheck(value, rows)
+        _recheck(value, rows, triple)
     if "checks" in node:
         holds = all(c["holds"] for c in node["checks"])
         if "conclusion" in node:
@@ -512,6 +600,38 @@ def test_certificates_are_checkable_from_json_alone(capsys, argv):
     rows = []
     _recheck(json.loads(out), rows)
     assert rows and all(row["holds"] for row in rows)
+
+
+def _delete_residue_rows(document):
+    for case in document["certificate"]["data"]["cases"]:
+        del case["checks"][1:]
+
+
+def _forge_residue_lhs(document):
+    document["certificate"]["data"]["cases"][2]["checks"][1]["lhs"] = 999
+
+
+def _move_to_6_9_11(document):
+    document["triple"] = [6, 9, 11]
+
+
+@pytest.mark.parametrize(
+    "degrees, forge",
+    [
+        (("6", "13", "20"), _delete_residue_rows),
+        (("6", "13", "20"), _forge_residue_lhs),
+        (("5", "7", "9"), _move_to_6_9_11),
+    ],
+    ids=["R7 without residue rows", "R7 residue lhs 999", "R4 moved to 6 9 11"],
+)
+def test_forged_certificates_are_rejected(capsys, degrees, forge):
+    # each forgery keeps every row's holds consistent with its own lhs and rhs
+    _, out, _ = run(capsys, "classify", "--format", "json", *degrees)
+    document = json.loads(out)
+    _recheck(document, [])
+    forge(document)
+    with pytest.raises(AssertionError):
+        _recheck(document, [])
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,20 @@ class TestArithmetic:
         assert (ONE == 1) is False
         assert (X == "x") is False
 
+    def test_equality_across_field_widths(self):
+        # x^2000 cancels but its bound keeps the wide 20-bit fields, so
+        # each comparison below is between widths 20 and 10
+        wide = (X**2000 + Y + 2 * Z) - X**2000
+        narrow = Y + 2 * Z
+        assert (wide._width, narrow._width) == (20, 10)
+        assert wide == narrow and narrow == wide
+        assert hash(wide) == hash(narrow)
+        # equal term counts, one coefficient or one exponent differs
+        assert wide != Y + 3 * Z and Y + 2 * Z**2 != wide
+        # unequal term counts, a subset of the terms or one more term
+        assert wide != Y and wide != narrow + X
+        assert Y != wide and narrow + X != wide
+
     def test_hashable_value_semantics(self):
         assert hash(X + Y) == hash(Y + X)
         assert len({X + Y, Y + X}) == 1
@@ -164,7 +178,7 @@ class TestArithmetic:
                 (half * X + Y) * (2 * X + 4 * Y),
                 {(2, 0, 0): 1, (1, 1, 0): 4, (0, 2, 0): 4},
             ),
-            # symmetric square and multinomial power: 2 * (1/2) is an int
+            # square by the kernel and multinomial power: 2 * (1/2) is an int
             ((half * X + Y) * (half * X + Y), square),
             ((half * X + Y) ** 2, square),
             # sum, derivative, substitution
@@ -389,7 +403,7 @@ class TestSympyOracle:
             assert _to_ring(base**n, ring) == _to_ring(base, ring) ** n
 
     def test_squares_of_the_same_object(self, ring):
-        # p * p takes the symmetric-square kernel
+        # p * p of one object takes the pairwise kernel like any product
         rng = Random(SEED + 4)
         bases = [
             random_nonzero_poly(rng, max_terms=10, fractions=True)
@@ -541,12 +555,15 @@ class TestPowerOverT:
             returned.append(power is not None)
             return power
 
-        def refuse(*args):
-            raise AssertionError("product chain started")
+        accumulate = kernel._accumulate
 
-        # a product chain starts with the symmetric square of the base
+        def refuse_chain(out, a, b):
+            # a product chain starts with the base's term list times itself
+            assert a is not b, "product chain started"
+            accumulate(out, a, b)
+
         monkeypatch.setattr(kernel, "_t_power", recorded)
-        monkeypatch.setattr(kernel, "_accumulate_square", refuse)
+        monkeypatch.setattr(kernel, "_accumulate", refuse_chain)
         for n, power in expected.items():
             assert first**n == power
         assert (X**9 + X**5 * Y).substitute(first, second, Z) == (
@@ -568,29 +585,25 @@ class TestPowerOverT:
 
 
 class TestSquares:
-    def test_dependent_square_is_the_symmetric_square(self, monkeypatch):
-        # lowest total degree part of two terms: one symmetric square of
-        # n(n+1)/2 term products, and no product of two several-term operands
+    def test_dependent_square_is_one_kernel_product(self, monkeypatch):
+        # lowest total degree part of two terms: the square is one kernel
+        # product of the base with itself, and every other product has a
+        # one-term factor
         base = Y * Y + X * Z + nagata(2).coords[0] ** 4
         assert not _affinely_independent(base.terms())
         expected = base * base
         counted = []
-        square = kernel._accumulate_square
         accumulate = kernel._accumulate
 
-        def counted_square(out, a):
-            counted.append(len(a))
-            square(out, a)
-
-        def one_term_factor(out, a, b):
-            assert min(len(a), len(b)) == 1
+        def counted_accumulate(out, a, b):
+            if min(len(a), len(b)) > 1:
+                counted.append((len(a), len(b)))
             accumulate(out, a, b)
 
-        monkeypatch.setattr(kernel, "_accumulate_square", counted_square)
-        monkeypatch.setattr(kernel, "_accumulate", one_term_factor)
+        monkeypatch.setattr(kernel, "_accumulate", counted_accumulate)
         assert base**2 == expected
         assert (X**2 * Y).substitute(Polynomial(base.terms()), Y, Z) == expected * Y
-        assert counted == [len(base), len(base)]
+        assert counted == [(len(base), len(base))] * 2
 
 
 class TestPowerMemo:
