@@ -9,16 +9,17 @@ degree, the degree calculus for Poisson-type brackets forces lower
 bounds that contradict the triple itself.  The type-III exceptional
 shape is excluded by a parity/divisibility test.
 
-This script prints the full audit for (d, k) = (6, 1), i.e. the triple
-(6, 13, 20), shows the degree bound su_lower_bound growing past any
-usable window, and checks that the wild-family certificate of the
-triple keeps that audit as its proof.
+This script prints the full audit of the triple (6, 13, 20), the family
+instance (d, k) = (6, 1), shows the degree bound su_lower_bound growing
+past any usable window, and checks that the wild-family certificate of
+the triple keeps that audit as its proof.
 """
 
 from wildmdeg import (
     Family,
     FamilyParams,
     ReductionQuery,
+    family_triple,
     no_elementary_reduction_check,
     reduction_audit,
     su_lower_bound,
@@ -34,8 +35,9 @@ def main():
         print(f"  q = {q}: every candidate has degree >= {bound}")
     print()
 
-    print("full audit for the family instance (d, k) = (6, 1):")
-    for coordinate, rows in no_elementary_reduction_check(6, 1):
+    triple = family_triple(6, 1)
+    print(f"full audit for the family instance (d, k) = (6, 1), {triple}:")
+    for coordinate, rows in no_elementary_reduction_check(triple):
         print(f"  reduce the {coordinate} coordinate?")
         for check in rows:
             mark = "ok" if check.holds else "XX"
@@ -47,7 +49,7 @@ def main():
         print(f"    -> {'reduction_impossible' if holds else 'inconclusive'}")
     print()
 
-    rows = type_iii_check((6, 13, 20))
+    rows = type_iii_check(triple)
     excluded = all(check.holds for check in rows)
     print("type-III exceptional shape:", "excluded" if excluded else "possible")
     for check in rows:

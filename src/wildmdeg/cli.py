@@ -14,10 +14,11 @@ Subcommands
 ``check-reductions --d D --k K``
     Run the elementary-reduction inequality audit for the triple
     (D, D+K(D+1), D+2K(D+1)).  Exit code 0 when every case is excluded.
-``verify --suite NAME``
-    Re-run a family of internal cross-checks.  Exit code 0 when all pass;
-    bounds that select no check at all, or that the suite does not read,
-    are a parameter error.
+``verify --suite NAME [--kmax K] [--dmax D] [--lmax L]``
+    Re-run a family of internal cross-checks over every k <= K, d <= D
+    and l <= L that the suite reads.  Exit code 0 when all pass; bounds
+    that select no check at all, or that the suite does not read, are a
+    parameter error.
 
 Every subcommand accepts ``--format {text,json}`` (after the subcommand
 name); JSON output is deterministic (sorted keys, two-space indent).
@@ -47,9 +48,7 @@ from .maps import (
     nagata,
     sheared_nagata,
     short_progression_map,
-    tame_witness,
 )
-from .poly import _check_int
 from .reduction import _nonmember_rows, family_triple, reduction_audit
 
 _EXIT_USAGE = 3
@@ -142,9 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--d3", type=int, required=True)
-    exponent = "exponent with a*d1 + b*d2 = d3 (default: classify's witness)"
-    p.add_argument("--a", type=int, help=exponent)
-    p.add_argument("--b", type=int, help=exponent)
 
     p = commands.add_parser(
         "wild-enum",
@@ -170,7 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="family parameter")
 
     p = commands.add_parser(
-        "verify", parents=[fmt], help="re-run a suite of internal cross-checks"
+        "verify",
+        parents=[fmt],
+        allow_abbrev=False,  # so --d and --k cannot stand for --dmax and --kmax
+        help="re-run a suite of internal cross-checks",
     )
     p.add_argument(
         "--suite",
@@ -182,11 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dmax", type=int, help="largest d, not exp-vs-closed-form (default: 14)"
     )
-    p.add_argument(
-        "--lmax", type=int, help="largest l, identities without --d (default: 4)"
-    )
-    p.add_argument("--d", type=int, help="check a single d instead of up to --dmax")
-    p.add_argument("--k", type=int, help="check a single k instead of up to --kmax")
+    p.add_argument("--lmax", type=int, help="largest l, identities (default: 4)")
     return parser
 
 
@@ -273,10 +268,6 @@ def _construct_map(args) -> PolyMap:
     if args.kind == "lemma2":
         return long_progression_map(args.r, args.k)
     # witness
-    if (args.a is None) != (args.b is None):
-        raise ValueError("give both --a and --b, or neither")
-    if args.a is not None:
-        return tame_witness(args.d1, args.d2, args.d3, args.a, args.b)
     realization = classify_tame((args.d1, args.d2, args.d3)).realization
     if realization is None:
         raise ValueError(
@@ -343,14 +334,8 @@ def _run_check_reductions(args) -> int:
     return 0 if audit.excluded else 1
 
 
-def _range_or_single(value: Optional[int], stop: int, start: int = 1):
-    if value is not None:
-        return [value]
-    return list(range(start, stop + 1))
-
-
 def _suite_exp(args, checks: List[Tuple[str, bool]]) -> None:
-    for k in _range_or_single(args.k, args.kmax):
+    for k in range(1, args.kmax + 1):
         same = nagata_exp(k).coords == nagata(k).coords
         checks.append(
             (f"exponential of scaled derivation matches closed form, k={k}", same)
@@ -358,7 +343,7 @@ def _suite_exp(args, checks: List[Tuple[str, bool]]) -> None:
 
 
 def _suite_identities(args, checks: List[Tuple[str, bool]]) -> None:
-    ks = _range_or_single(args.k, args.kmax)
+    ks = range(1, args.kmax + 1)
     for k in ks:
         map_ = nagata(k)
         preserved = (
@@ -367,30 +352,23 @@ def _suite_identities(args, checks: List[Tuple[str, bool]]) -> None:
         checks.append((f"nagata({k}) preserves y^2 + x*z", preserved))
         ok = compose(inverse(map_), map_).is_identity()
         checks.append((f"inverse(nagata({k})) o nagata({k}) == id", ok))
-    for d in _range_or_single(args.d, args.dmax):
+    for d in range(1, args.dmax + 1):
         for k in ks:
             map_ = sheared_nagata(d, k)
             ok = compose(inverse(map_), map_).is_identity()
             checks.append((f"inverse o fdk(d={d}, k={k}) == id", ok))
-    if args.d is None:
-        for l in range(1, args.lmax + 1):
-            for k in ks:
-                map_ = short_progression_map(l, k)
-                ok = compose(inverse(map_), map_).is_identity()
-                checks.append(
-                    (f"inverse o lemma1(l={l}, k={k}) == id", ok)
-                )
+    for l in range(1, args.lmax + 1):
+        for k in ks:
+            map_ = short_progression_map(l, k)
+            ok = compose(inverse(map_), map_).is_identity()
+            checks.append((f"inverse o lemma1(l={l}, k={k}) == id", ok))
 
 
 def _even_family_pairs(args):
-    for d in _range_or_single(args.d, args.dmax, start=4):
-        if d % 2:
-            continue
-        _check_int(d, "d", 4)
-        for k in _range_or_single(args.k, args.kmax):
-            if gcd(d, k) != 1:
-                continue
-            yield d, k
+    for d in range(4, args.dmax + 1, 2):
+        for k in range(1, args.kmax + 1):
+            if gcd(d, k) == 1:
+                yield d, k
 
 
 def _suite_reductions(args, checks: List[Tuple[str, bool]]) -> None:
@@ -408,11 +386,8 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
         checks.append(
             (f"gcd pattern (1, 1, 2) on family triple d={d}, k={k}", ok)
         )
-    for r in _range_or_single(args.d, args.dmax, start=3):
-        if r % 2 == 0:
-            continue
-        _check_int(r, "d", 3)
-        for k in _range_or_single(args.k, args.kmax):
+    for r in range(3, args.dmax + 1, 2):
+        for k in range(1, args.kmax + 1):
             if gcd(r, k) != 1:
                 continue
             for name, triple in (
@@ -426,16 +401,10 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
 
 
 def _run_verify(args) -> int:
-    # every suite reads k and all but exp-vs-closed-form read d, each as a
-    # single value or else up to its maximum; identities reads lmax over a
-    # range of d.  A bound given but not read is an error.
-    read = {"k" if args.k is not None else "kmax"}
-    if args.suite != "exp-vs-closed-form":
-        read.add("d" if args.d is not None else "dmax")
-    if args.suite == "identities" and args.d is None:
-        read.add("lmax")
-    for name in ("d", "k", "dmax", "kmax", "lmax"):
-        if getattr(args, name) is not None and name not in read:
+    # every suite reads kmax; a bound given but not read is an error
+    unread = {"exp-vs-closed-form": ("dmax", "lmax"), "identities": ()}
+    for name in unread.get(args.suite, ("lmax",)):
+        if getattr(args, name) is not None:
             raise ValueError(f"suite {args.suite!r} does not read --{name}")
     for name, default in (("kmax", 5), ("dmax", 14), ("lmax", 4)):
         if getattr(args, name) is None:

@@ -6,8 +6,8 @@ other two coordinates.  A Shestakov–Umirbaev-style inequality bounds
 deg G(f, g) from below in terms of deg f, deg g, the y-degree split of G
 (q, r) and a lower bound on the degree of the Poisson-type bracket [f, g].
 
-This module packages those bounds as executable checks.  For the
-even-degree family triple (d, d+k(d+1), d+2k(d+1)) it audits each
+This module packages those bounds as executable checks.  For any triple
+d1 < d2 < d3, :func:`no_elementary_reduction_check` audits each
 coordinate from the triple alone.  Each case is a pair (coordinate,
 rows): one floor row from :func:`su_lower_bound` rules out q >= 1, and
 the rows of :func:`_nonmember_rows` show the coordinate's degree d_i is
@@ -16,9 +16,10 @@ shows d3 is not in <d1, d2>; a wild family whose proof is a citation
 carries those rows as that citation's ``checks`` (``wildmdeg.classify``).
 :func:`type_iii_check` gives the parity/ratio rows that exclude the
 delicate type-III reduction shape.
-:func:`reduction_audit` combines the two into a :class:`ReductionAudit`;
-when every row holds, that audit is itself the certificate of
-non-tameness (rule R7 of the classifier).
+:func:`reduction_audit` checks the parameters of the even-degree family
+triple (d, d+k(d+1), d+2k(d+1)) and combines the two for it into a
+:class:`ReductionAudit`; when every row holds, that audit is itself the
+certificate of non-tameness (rule R7 of the classifier).
 Every fact is an :class:`InequalityCheck` row, re-checkable from its JSON
 alone, and every verdict is the conjunction of its rows.
 """
@@ -132,10 +133,9 @@ def _nonmember_rows(
 _CASES = (("first", 0, 1, 2), ("second", 1, 0, 2), ("third", 2, 0, 1))
 
 
-def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
-    """Per-coordinate audit of ``family_triple(d, k)``, from the triple alone.
+def no_elementary_reduction_check(triple: Tuple[int, int, int]) -> Tuple[Case, ...]:
+    """Per-coordinate elementary-reduction audit of a triple d1 < d2 < d3.
 
-    Requires even d >= 4 and gcd(d, k) = 1, so k is odd.
     Coordinate i is reduced only by some G(f_j, f_l) of degree d_i, where
     d_j < d_l; write G's degree in f_l as q*p + b with 0 <= b < p, p the
     :class:`ReductionQuery` ``p`` of (d_j, d_l).  The first row,
@@ -145,14 +145,11 @@ def no_elementary_reduction_check(d: int, k: int) -> Tuple[Case, ...]:
     d_j for one b <= d_i // d_l.  A representation of d_i with the least
     b has b < p, so these rows hold exactly when no a >= 0 and b < p give
     d_i.  The case excludes the reduction exactly when all its rows hold.
+    Two equal degrees are a ValueError, as a query needs deg_f < deg_g.
     """
-    _check_int(d, "d", 4)
-    _check_int(k, "k", 1)
-    if d % 2:
-        raise ValueError("d must be even")
-    if gcd(d, k) != 1:
-        raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
-    triple = family_triple(d, k)
+    triple = _validate_sorted_triple(triple)
+    if len(set(triple)) < 3:
+        raise ValueError(f"the audit needs d1 < d2 < d3, got {triple}")
     cases = []
     for coordinate, i, j, l in _CASES:
         query = ReductionQuery(triple[j], triple[l], 1, 0)
@@ -243,6 +240,13 @@ class ReductionAudit(_Value):
 
 
 def reduction_audit(d: int, k: int) -> ReductionAudit:
-    """Elementary-reduction audit plus type-III check of ``family_triple(d, k)``."""
-    cases = no_elementary_reduction_check(d, k)
-    return ReductionAudit(d, k, cases, type_iii_check(family_triple(d, k)))
+    """The R7 audit of ``family_triple(d, k)``, for even d >= 4 with gcd(d, k) = 1."""
+    _check_int(d, "d", 4)
+    _check_int(k, "k", 1)
+    if d % 2:
+        raise ValueError("d must be even")
+    if gcd(d, k) != 1:
+        raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
+    triple = family_triple(d, k)
+    cases = no_elementary_reduction_check(triple)
+    return ReductionAudit(d, k, cases, type_iii_check(triple))

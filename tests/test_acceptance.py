@@ -161,7 +161,8 @@ def test_criterion_08_elementary_reductions_excluded():
             for k in range(1, 6):
                 if gcd(d, k) != 1:
                     continue
-                cases = no_elementary_reduction_check(d, k)
+                triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
+                cases = no_elementary_reduction_check(triple)
                 assert [coordinate for coordinate, _ in cases] == [
                     "first",
                     "second",
@@ -170,7 +171,6 @@ def test_criterion_08_elementary_reductions_excluded():
                 assert all(
                     row.holds for _, rows in cases for row in rows
                 ), (d, k)
-                triple = (d, d + k * (d + 1), d + 2 * k * (d + 1))
                 # every type-III row is an "lhs != rhs" fact, and all hold
                 rows = type_iii_check(triple)
                 assert rows and all(

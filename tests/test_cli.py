@@ -183,15 +183,6 @@ class TestConstructCommand:
         assert code == 0
         assert "multidegree: (3, 5, 11)" in out
 
-    def test_witness_explicit_exponents(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "construct", "witness",
-            "--d1", "3", "--d2", "5", "--d3", "11", "--a", "2", "--b", "1",
-        )
-        assert code == 0
-        assert "multidegree: (3, 5, 11)" in out
-
     def test_witness_defaults_to_the_classifier_realization(self, capsys):
         # d1 | d2 with d3 outside <d1, d2>: R2's witness; d1 = 1: R1's
         for d1, d2, d3 in (("4", "8", "9"), ("1", "3", "5"), ("2", "3", "7")):
@@ -205,14 +196,12 @@ class TestConstructCommand:
             assert out.startswith("coordinates:\n" + coordinates)
             assert f"multidegree: ({d1}, {d2}, {d3})" in out
 
-    def test_witness_lone_exponent_rejected(self, capsys):
-        code, _, err = run(
-            capsys,
-            "construct", "witness",
-            "--d1", "3", "--d2", "5", "--d3", "11", "--a", "2",
-        )
-        assert code == 3
-        assert "both --a and --b" in err
+    def test_witness_takes_no_exponents(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["construct", "witness", "--d1", "3", "--d2", "5",
+                  "--d3", "11", "--a", "1", "--b", "1"])
+        assert info.value.code == 3
+        assert "unrecognized arguments: --a 1 --b 1" in capsys.readouterr().err
 
     def test_witness_non_member_rejected(self, capsys):
         code, _, err = run(
@@ -317,14 +306,6 @@ class TestVerifyCommand:
         assert "passed 2/2 checks" in out
         assert "FAIL" not in out
 
-    def test_identities_suite_single_instance(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "verify", "--suite", "identities", "--d", "6", "--kmax", "2",
-        )
-        assert code == 0
-        assert "passed 6/6 checks" in out
-
     def test_reductions_suite(self, capsys):
         code, out, _ = run(
             capsys,
@@ -333,31 +314,9 @@ class TestVerifyCommand:
         assert code == 0
         assert "passed 3/3 checks" in out
 
-    def test_gcds_suite_single_instance(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--suite", "gcds", "--d", "6", "--k", "1"
-        )
-        assert code == 0
-        assert "passed 1/1 checks" in out
-
-    @pytest.mark.parametrize("suite", ["gcds", "reductions"])
-    def test_even_suites_reject_a_small_even_d(self, capsys, suite):
-        # (2, 5, 8) is no family triple: d = 2 is below the even family
-        code, out, err = run(capsys, "verify", "--suite", suite, "--d", "2")
-        assert code == 3
-        assert out == ""
-        assert "d must be at least 4, got 2" in err
-
-    def test_gcds_suite_names_the_d_flag_for_a_small_odd_d(self, capsys):
-        # an odd --d is a progression's r, but the error names the flag
-        code, out, err = run(capsys, "verify", "--suite", "gcds", "--d", "1")
-        assert code == 3
-        assert out == ""
-        assert "d must be at least 3, got 1" in err
-
     def test_gcds_suite_includes_progression_traces(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--suite", "gcds", "--d", "5", "--k", "2"
+            capsys, "verify", "--suite", "gcds", "--dmax", "5", "--kmax", "2"
         )
         assert code == 0
         assert "short-progression exclusion valid, r=5, k=2" in out
@@ -367,12 +326,23 @@ class TestVerifyCommand:
         code, out, _ = run(
             capsys,
             "verify", "--suite", "exp-vs-closed-form",
-            "--format", "json", "--k", "3",
+            "--format", "json", "--kmax", "3",
         )
         assert code == 0
         document = json.loads(out)
         assert document["all_ok"] is True
-        assert document["passed"] == document["total"] == 1
+        assert document["passed"] == document["total"] == 3
+        assert [row["name"] for row in document["checks"]] == [
+            f"exponential of scaled derivation matches closed form, k={k}"
+            for k in (1, 2, 3)
+        ]
+
+    @pytest.mark.parametrize("flag", ["--d", "--k"])
+    def test_single_value_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--suite", "identities", flag, "6"])
+        assert info.value.code == 3
+        assert f"unrecognized arguments: {flag} 6" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bounds",
@@ -390,12 +360,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "bounds, flag",
         [
-            (("--suite", "exp-vs-closed-form", "--d", "3"), "--d"),
             (("--suite", "exp-vs-closed-form", "--dmax", "3"), "--dmax"),
+            (("--suite", "exp-vs-closed-form", "--lmax", "3"), "--lmax"),
             (("--suite", "reductions", "--lmax", "2"), "--lmax"),
-            (("--suite", "identities", "--d", "3", "--lmax", "2"), "--lmax"),
-            (("--suite", "gcds", "--d", "6", "--dmax", "8"), "--dmax"),
-            (("--suite", "gcds", "--k", "1", "--kmax", "3"), "--kmax"),
+            (("--suite", "gcds", "--kmax", "3", "--lmax", "2"), "--lmax"),
         ],
     )
     def test_unread_bound_is_usage_error(self, capsys, bounds, flag):

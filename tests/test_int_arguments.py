@@ -41,7 +41,9 @@ ENTRY_POINTS = {
     "exp": lambda v: exp(nagata_derivation(), max_iterations=v),
     "nagata_exp": nagata_exp,
     "ReductionQuery": lambda v: ReductionQuery(5, 7, v, 0),
-    "no_elementary_reduction_check": lambda v: no_elementary_reduction_check(6, v),
+    "no_elementary_reduction_check": lambda v: no_elementary_reduction_check(
+        (6, v, 20)
+    ),
     "reduction_audit": lambda v: reduction_audit(6, v),
     "family_triple": lambda v: family_triple(v, 1),
     "classify_tame": lambda v: classify_tame((v, 2, 3)),

@@ -120,7 +120,7 @@ class TestCaseReport:
 
 class TestNoElementaryReduction:
     def test_case_structure_for_6_1(self):
-        cases = no_elementary_reduction_check(6, 1)
+        cases = no_elementary_reduction_check((6, 13, 20))
         assert isinstance(cases, tuple)
         assert [coordinate for coordinate, _ in cases] == [
             "first", "second", "third"
@@ -129,7 +129,7 @@ class TestNoElementaryReduction:
 
     def test_frozen_values_for_6_1(self):
         first, second, third = (
-            rows for _, rows in no_elementary_reduction_check(6, 1)
+            rows for _, rows in no_elementary_reduction_check((6, 13, 20))
         )
 
         values = [(c.lhs, c.rhs) for c in first]
@@ -159,27 +159,46 @@ class TestNoElementaryReduction:
         [(d, k) for d in (6, 8, 10) for k in (1, 2, 3, 5) if gcd(d, k) == 1],
     )
     def test_family_grid_excluded(self, d, k):
-        cases = no_elementary_reduction_check(d, k)
+        cases = no_elementary_reduction_check(family_triple(d, k))
         assert all(row.holds for _, rows in cases for row in rows)
 
     @pytest.mark.parametrize("k", [1, 3, 5, 7])
     def test_degree_four_with_odd_k(self, k):
-        cases = no_elementary_reduction_check(4, k)
+        cases = no_elementary_reduction_check(family_triple(4, k))
         assert all(row.holds for _, rows in cases for row in rows)
 
-    def test_validation(self):
+    @pytest.mark.parametrize("d", range(4, 17, 2))
+    def test_family_triple_gives_the_audit_cases(self, d):
+        for k in range(1, 12):
+            if gcd(d, k) == 1:
+                cases = no_elementary_reduction_check(family_triple(d, k))
+                assert cases == reduction_audit(d, k).cases, k
+
+    def test_any_strict_triple_gets_three_cases(self):
+        # (5, 7, 9) is lemma1's triple, no even family triple
+        cases = no_elementary_reduction_check((5, 7, 9))
+        assert [coordinate for coordinate, _ in cases] == [
+            "first", "second", "third"
+        ]
+        first, second, third = (rows for _, rows in cases)
+        # 9 = 5a + 7b has no solution in naturals: b = 0 and b = 1 fail
+        assert [(c.lhs, c.rhs) for c in third[1:]] == [(4, 0), (2, 0)]
+        assert all(row.holds for _, rows in cases for row in rows)
+        # 10 = 2*5 is in <5, 7>, so the third case fails its b = 0 row
+        (_, _, (_, rows)) = no_elementary_reduction_check((5, 7, 10))
+        assert [row.holds for row in rows[1:]] == [False, True]
+
+    # a query needs deg_f < deg_g, so two equal degrees are rejected
+    @pytest.mark.parametrize(
+        "triple", [(6, 6, 7), (6, 7, 7), (7, 6, 5), (0, 1, 2), (1, 2)]
+    )
+    def test_validation(self, triple):
         with pytest.raises(ValueError):
-            no_elementary_reduction_check(5, 1)  # odd d
-        with pytest.raises(ValueError):
-            no_elementary_reduction_check(2, 1)  # too small
-        with pytest.raises(ValueError):
-            no_elementary_reduction_check(4, 2)  # d = 4 needs odd k
-        with pytest.raises(ValueError):
-            no_elementary_reduction_check(6, 3)  # shared factor
-        with pytest.raises(ValueError):
-            no_elementary_reduction_check(6, 0)
+            no_elementary_reduction_check(triple)
+
+    def test_non_int_degree_is_a_type_error(self):
         with pytest.raises(TypeError):
-            no_elementary_reduction_check(6.0, 1)
+            no_elementary_reduction_check((6.0, 13, 20))
 
 
 def type_iii_possible(triple):
@@ -272,7 +291,9 @@ class TestReductionAudit:
                     "checks": [row.to_dict() for row in rows],
                     "conclusion": "reduction_impossible",
                 }
-                for coordinate, rows in no_elementary_reduction_check(6, 1)
+                for coordinate, rows in no_elementary_reduction_check(
+                    (6, 13, 20)
+                )
             ],
             "type_iii": {
                 "triple": [6, 13, 20],
@@ -311,7 +332,15 @@ class TestReductionAudit:
                     )
 
     def test_validation_is_the_checks(self):
-        with pytest.raises(ValueError):
-            reduction_audit(6, 3)
+        with pytest.raises(ValueError, match="d must be even"):
+            reduction_audit(5, 1)
+        with pytest.raises(ValueError, match="at least 4, got 2"):
+            reduction_audit(2, 1)  # too small
+        with pytest.raises(ValueError, match="gcd"):
+            reduction_audit(4, 2)  # d = 4 needs odd k
+        with pytest.raises(ValueError, match=r"gcd\(6, 3\) = 3"):
+            reduction_audit(6, 3)  # shared factor
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            reduction_audit(6, 0)
         with pytest.raises(TypeError):
             reduction_audit(6.0, 1)
