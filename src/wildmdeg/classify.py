@@ -12,13 +12,13 @@ elementary reductions and the type-III shape (``ReductionAudit``, R7).
 
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
-them, drawn from four parametric families.  A family certificate keeps
-the classifier's own certificate as its ``proof``.  When that proof is a
-citation (R3, R4 or R6), the citation's ``checks`` are the residue rows
-that show d3 is not in <d1, d2>; an R7 proof is the audit's own rows.
-Each proof is held once: a classification reads its realization from
-its certificate, the R8 map is built from the semigroup identity only
-when it is read, and a family hands over the witness it checked.
+them, from four families; one table states the degrees d each admits.
+A family certificate keeps the classifier's own certificate as its
+``proof``.  When that proof is a citation (R3, R4 or R6), its ``checks``
+are the residue rows that show d3 is not in <d1, d2>; an R7 proof is the
+audit's own rows.  Each proof is held once: a classification reads its
+realization from its certificate, the R8 map is built from the semigroup
+identity only when it is read, and a family hands over the witness it checked.
 """
 
 from __future__ import annotations
@@ -57,10 +57,22 @@ class TameStatus(str, Enum):
 class Family(str, Enum):
     """Parametric families of wild degree triples (d, k both free)."""
 
-    ODD_1_MOD_4 = "odd_1_mod_4"  # (d, d+2k, d+4k), d = 1 mod 4, d > 1
-    ODD_GENERAL = "odd_general"  # (d, d+k(d+1), d+2k(d+1)), d odd > 1
-    EVEN_GT_4 = "even_gt_4"  # (d, d+k(d+1), d+2k(d+1)), d even > 4
-    D_EQUALS_4 = "d_equals_4"  # (4, 4+5k, 4+10k), k odd
+    ODD_1_MOD_4 = "odd_1_mod_4"  # (d, d+2k, d+4k): short_progression_map
+    ODD_GENERAL = "odd_general"  # (d, d+k(d+1), d+2k(d+1)): sheared_nagata
+    EVEN_GT_4 = "even_gt_4"  # (d, d+k(d+1), d+2k(d+1)): sheared_nagata
+    D_EQUALS_4 = "d_equals_4"  # (4, 4+5k, 4+10k): sheared_nagata
+
+
+# Each family's admitted smallest degrees d, and the requirement that
+# states them; default_family takes the first family that admits d.
+_FAMILY_DEGREES = {
+    Family.D_EQUALS_4: (lambda d: d == 4, "d = 4"),
+    Family.EVEN_GT_4: (lambda d: d > 4 and d % 2 == 0, "even d > 4"),
+    Family.ODD_1_MOD_4: (
+        lambda d: d > 1 and d % 4 == 1, "d = 1 (mod 4) with d > 1"
+    ),
+    Family.ODD_GENERAL: (lambda d: d > 1 and d % 2 == 1, "odd d > 1"),
+}
 
 
 class SemigroupWitness(NamedTuple):
@@ -318,20 +330,11 @@ class FamilyParams(_Value):
         object.__setattr__(self, "k", k)
         _check_int(d, "d", 1)
         _check_int(k, "k", 1)
-        if family is Family.ODD_1_MOD_4:
-            if d < 5 or d % 4 != 1:
-                raise ValueError("family needs d = 1 (mod 4) with d > 1")
-        elif family is Family.ODD_GENERAL:
-            if d < 3 or d % 2 == 0:
-                raise ValueError("family needs odd d > 1")
-        elif family is Family.EVEN_GT_4:
-            if d < 6 or d % 2 == 1:
-                raise ValueError("family needs even d > 4")
-        elif family is Family.D_EQUALS_4:
-            if d != 4:
-                raise ValueError("family needs d = 4")
-        else:  # pragma: no cover - Family is a closed enum
+        if not isinstance(family, Family):  # a str hashes like its member
             raise ValueError(f"unknown family {family!r}")
+        admits, requirement = _FAMILY_DEGREES[family]
+        if not admits(d):
+            raise ValueError(f"family needs {requirement}")
         if gcd(d, k) != 1:  # for d = 4: odd k
             raise ValueError("family needs gcd(d, k) = 1")
 
@@ -385,15 +388,9 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
 
 
 def default_family(d: int) -> Family:
-    """The family used by :func:`enumerate_wild` for smallest degree d."""
+    """The family :func:`enumerate_wild` uses: the first that admits d."""
     _check_int(d, "d", 3)  # wild triples with smallest degree < 3 do not exist
-    if d == 4:
-        return Family.D_EQUALS_4
-    if d % 2 == 0:
-        return Family.EVEN_GT_4
-    if d % 4 == 1:
-        return Family.ODD_1_MOD_4
-    return Family.ODD_GENERAL
+    return next(f for f, (admits, _) in _FAMILY_DEGREES.items() if admits(d))
 
 
 def enumerate_wild(d: int, count: int) -> List[Classification]:

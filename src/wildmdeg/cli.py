@@ -49,6 +49,7 @@ from .maps import (
     sheared_nagata,
     short_progression_map,
 )
+from .poly import _check_int
 from .reduction import _nonmember_rows, family_triple, reduction_audit
 
 _EXIT_USAGE = 3
@@ -129,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = kinds.add_parser(
         "lemma2",
         parents=[fmt],
-        help="map with multidegree (r, r+k(r+1), r+2k(r+1))",
+        help="the fdk map with d = r: multidegree (r, r+k(r+1), r+2k(r+1))",
     )
     p.add_argument("--r", type=int, required=True, help="smallest degree (r >= 1)")
     p.add_argument("--k", type=int, required=True, help="q-power (k >= 1)")
@@ -266,6 +267,7 @@ def _construct_map(args) -> PolyMap:
     if args.kind == "lemma1":
         return short_progression_map(args.l, args.k)
     if args.kind == "lemma2":
+        _check_int(args.r, "r", 1)  # the map's own check calls it d
         return long_progression_map(args.r, args.k)
     # witness
     realization = classify_tame((args.d1, args.d2, args.d3)).realization

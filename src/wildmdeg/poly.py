@@ -13,10 +13,10 @@ degree, and ``total_degree()`` raises ``ValueError`` on it.
 Text format, shared by :func:`parse` and ``str()``::
 
     polynomial = terms joined by '+' / '-'
-    term       = optional rational coefficient ('7' or '7/2') and
+    term       = optional rational coefficient ('7' or '7/2', digits 0-9) and
                  '*'-separated variable powers 'x^e', 'y^e', 'z^e'
 
-Input may additionally use parentheses and '^' on parenthesized groups,
+Input may also use parentheses, nested up to 100 deep, and '^' on groups,
 e.g. ``x - 2*y*(y^2+z*x) - z*(y^2+z*x)^2``.  Output is always the expanded
 normal form with terms in descending graded lexicographic order (total
 degree first, then x > y > z), so rendered strings are stable across runs.
@@ -816,9 +816,12 @@ def parse(text: str) -> Polynomial:
 class _Parser:
     """Recursive-descent parser over the +, -, *, ^, () grammar."""
 
+    max_nesting = 100  # levels of '(' it reads; a level is four frames
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> Polynomial:
         value = self._expression()
@@ -879,13 +882,17 @@ class _Parser:
         if ch is None:
             raise ParseError("unexpected end of input", self.pos)
         if ch == "(":
+            if self.depth == self.max_nesting:
+                raise ParseError("parentheses nested too deep", self.pos)
             self.pos += 1
+            self.depth += 1
             value = self._expression()
             if self._peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             numerator = self._integer("integer")
             if self._peek() == "/":
                 self.pos += 1
@@ -903,9 +910,12 @@ class _Parser:
     def _integer(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{what} has too many digits", start) from None
 

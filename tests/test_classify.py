@@ -7,7 +7,9 @@ test_reduction's frozen numbers.
 """
 
 import json
+import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +341,32 @@ class TestClassifyTame:
             classify_tame(bad)
 
 
+RULE_ORDER = ["R1", "R8", "R2", "R3", "R4", "R6", "R7"]
+
+
+class TestRuleTables:
+    """The README table, the docstring table and the classifier agree."""
+
+    def test_readme_table_lists_the_rules_in_order(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("| Rule | Condition |", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"^\| (R\d+) \|", table, re.M) == RULE_ORDER
+
+    def test_docstring_table_lists_the_rules_in_order(self):
+        table = classify_tame.__doc__.split("=====  ====", 1)[1]
+        assert re.findall(r"^    (R\d+)  ", table, re.M) == RULE_ORDER
+
+    def test_the_box_reaches_exactly_the_listed_rules(self):
+        rule_ids = {
+            classify_tame((d1, d2, d3)).rule_id
+            for d1 in range(1, 41)
+            for d2 in range(d1, 41)
+            for d3 in range(d2, 41)
+        }
+        assert rule_ids == {None, *RULE_ORDER}
+
+
 class TestClassificationSerialization:
     def test_unknown_document(self):
         document = classify_tame((4, 5, 6)).to_dict()
@@ -364,6 +392,14 @@ class TestClassificationSerialization:
         certificate = document["certificate"]
         assert certificate["kind"] == "reduction_exclusion"
         assert set(certificate["data"]) == {"d", "k", "cases", "type_iii"}
+
+
+ADMITTED_DEGREES = {
+    Family.ODD_1_MOD_4: (range(5, 61, 4), "d = 1 (mod 4) with d > 1"),
+    Family.ODD_GENERAL: (range(3, 61, 2), "odd d > 1"),
+    Family.EVEN_GT_4: (range(6, 61, 2), "even d > 4"),
+    Family.D_EQUALS_4: (range(4, 5), "d = 4"),
+}
 
 
 class TestFamilyParams:
@@ -420,6 +456,25 @@ class TestFamilyParams:
             FamilyParams(Family.ODD_GENERAL, 3.0, 1)
         with pytest.raises(TypeError):
             FamilyParams(Family.ODD_GENERAL, 3, True)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_admitted_degrees_up_to_60(self, family):
+        # each family's admitted smallest degrees, written out as ranges
+        admitted, requirement = ADMITTED_DEGREES[family]
+        for d in range(1, 61):
+            if d in admitted:
+                assert FamilyParams(family, d, 1).d == d
+            else:
+                with pytest.raises(ValueError) as info:
+                    FamilyParams(family, d, 1)
+                assert str(info.value) == f"family needs {requirement}"
+
+    @pytest.mark.parametrize("name", ["odd_general", "odd_1_mod_4"])
+    def test_a_member_value_is_not_a_family(self, name):
+        # a str-valued member hashes and compares like its string
+        with pytest.raises(ValueError) as info:
+            FamilyParams(name, 5, 1)
+        assert str(info.value) == f"unknown family {name!r}"
 
 
 class TestWildFamily:
@@ -560,6 +615,19 @@ class TestDefaultFamily:
             13: Family.ODD_1_MOD_4,
         }
         assert {d: default_family(d) for d in expected} == expected
+
+    def test_choice_up_to_60_is_admitted(self):
+        for d in range(3, 61):
+            if d == 4:
+                expected = Family.D_EQUALS_4
+            elif d % 2 == 0:
+                expected = Family.EVEN_GT_4
+            elif d % 4 == 1:
+                expected = Family.ODD_1_MOD_4
+            else:
+                expected = Family.ODD_GENERAL
+            assert default_family(d) is expected
+            FamilyParams(expected, d, 1)
 
     def test_validation(self):
         for bad in (2, 1, 0, -3):

@@ -175,6 +175,22 @@ class TestConstructCommand:
         assert code == 0
         assert "multidegree: (1, 5, 9)" in out
 
+    @pytest.mark.parametrize("r", ["1", "2", "3", "4"])
+    def test_lemma2_prints_the_fdk_document(self, capsys, r):
+        lemma2 = run(
+            capsys, "construct", "lemma2", "--r", r, "--k", "2", "--format", "json"
+        )
+        fdk = run(
+            capsys, "construct", "fdk", "--d", r, "--k", "2", "--format", "json"
+        )
+        assert lemma2 == fdk
+        assert lemma2[0] == 0
+
+    def test_lemma2_error_names_its_flag(self, capsys):
+        code, _, err = run(capsys, "construct", "lemma2", "--r", "0", "--k", "1")
+        assert code == 3
+        assert err == "wildmdeg: error: r must be at least 1, got 0\n"
+
     def test_witness_auto_exponents(self, capsys):
         code, out, _ = run(
             capsys,

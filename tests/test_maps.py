@@ -588,11 +588,16 @@ class TestNamedConstructions:
             short_progression_map(1, 0)
 
     def test_long_progression_r_equals_one(self):
+        # r = 1 is no special case: the long progression is the sheared map
+        assert long_progression_map is sheared_nagata
         for k in (1, 2):
-            map_ = long_progression_map(1, k)
+            map_ = sheared_nagata(1, k)
             assert multidegree(map_) == (1, 1 + 2 * k, 1 + 4 * k)
-            expected = compose(PolyMap(factors=(Transposition(),)), nagata(k))
-            assert map_.coords == expected.coords
+            # closed form of T o nagata(k) o (x, y, z + x), q = y^2 + x*(z + x)
+            s = Z + X
+            q = Y * Y + X * s
+            t = q**k
+            assert map_.coords == (s, Y + s * t, X - 2 * Y * t - s * t * t)
 
     def test_long_progression_larger_r(self):
         assert (
@@ -612,7 +617,7 @@ class TestNamedConstructions:
             (lambda: sheared_nagata(6, 1), ["T", "nagata(1)", "shift(z, x^6)"]),
             (lambda: short_progression_map(1, 2),
              ["T", "nagata(2)", "T", "nagata(1)"]),
-            (lambda: long_progression_map(1, 3), ["T", "nagata(3)"]),
+            (lambda: sheared_nagata(1, 3), ["T", "nagata(3)", "shift(z, x)"]),
             (lambda: long_progression_map(3, 1), ["T", "nagata(1)", "shift(z, x^3)"]),
         ],
     )

@@ -4,6 +4,7 @@ Expected values are frozen: strings and coefficient tables below were
 computed by hand and must never be regenerated from the code under test.
 """
 
+import sys
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -319,6 +320,41 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("x^\u00b2", 2),  # superscript two: only 0-9 are digits
+            ("\u00b2", 0),
+            ("x^\u0661", 2),  # Arabic-Indic one
+            ("\u0663*x", 0),  # Arabic-Indic three
+            ("(" * 101 + "x" + ")" * 101, 100),  # past the nesting limit
+            ("(" * 300 + "x" + ")" * 300, 100),
+        ],
+        ids=["superscript-exponent", "superscript", "arabic-indic-exponent",
+             "arabic-indic-coefficient", "nesting-101", "nesting-300"],
+    )
+    def test_errors_outside_the_grammar(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "prefix, what", [("", "integer"), ("x^", "exponent"), ("1/", "denominator")]
+    )
+    def test_literal_past_the_digit_limit(self, prefix, what):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            pytest.skip("this interpreter converts integers of any length")
+        with pytest.raises(ParseError) as info:
+            parse(prefix + "7" * (limit + 1))
+        assert info.value.position == len(prefix)
+        assert str(info.value).startswith(f"{what} has too many digits")
+
+    def test_nesting_up_to_the_limit(self):
+        group = "(" * 100 + "x" + ")" * 100
+        assert parse(group) == X
+        assert parse(f"{group} + {group}*{group}") == X + X * X
 
     def test_exponent_cap(self):
         with pytest.raises(ParseError):
