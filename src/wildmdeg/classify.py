@@ -12,7 +12,8 @@ elementary reductions and the type-III shape (``ReductionAudit``, R7).
 
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
-them, from four families; one table states the degrees d each admits.
+them, from four families; one table states each family's admitted
+degrees d, triple and witness map, which R7's match also reads.
 A family certificate keeps the classifier's own certificate as its
 ``proof``.  When that proof is a citation (R3, R4 or R6), its ``checks``
 are the residue rows that show d3 is not in <d1, d2>; an R7 proof is the
@@ -57,22 +58,43 @@ class TameStatus(str, Enum):
 class Family(str, Enum):
     """Parametric families of wild degree triples (d, k both free)."""
 
-    ODD_1_MOD_4 = "odd_1_mod_4"  # (d, d+2k, d+4k): short_progression_map
-    ODD_GENERAL = "odd_general"  # (d, d+k(d+1), d+2k(d+1)): sheared_nagata
-    EVEN_GT_4 = "even_gt_4"  # (d, d+k(d+1), d+2k(d+1)): sheared_nagata
-    D_EQUALS_4 = "d_equals_4"  # (4, 4+5k, 4+10k): sheared_nagata
+    ODD_1_MOD_4 = "odd_1_mod_4"
+    ODD_GENERAL = "odd_general"
+    EVEN_GT_4 = "even_gt_4"
+    D_EQUALS_4 = "d_equals_4"
 
 
-# Each family's admitted smallest degrees d, and the requirement that
-# states them; default_family takes the first family that admits d.
-_FAMILY_DEGREES = {
-    Family.D_EQUALS_4: (lambda d: d == 4, "d = 4"),
-    Family.EVEN_GT_4: (lambda d: d > 4 and d % 2 == 0, "even d > 4"),
-    Family.ODD_1_MOD_4: (
-        lambda d: d > 1 and d % 4 == 1, "d = 1 (mod 4) with d > 1"
+# Each family once, d its smallest degree: (admits(d), requirement,
+# triple(d, k), witness(d, k)); default_family takes the first that admits d.
+_FAMILIES = {
+    Family.D_EQUALS_4: (lambda d: d == 4, "d = 4", family_triple, sheared_nagata),
+    Family.EVEN_GT_4: (
+        lambda d: d > 4 and d % 2 == 0, "even d > 4", family_triple, sheared_nagata
     ),
-    Family.ODD_GENERAL: (lambda d: d > 1 and d % 2 == 1, "odd d > 1"),
+    Family.ODD_1_MOD_4: (
+        lambda d: d > 1 and d % 4 == 1,
+        "d = 1 (mod 4) with d > 1",
+        lambda d, k: (d, d + 2 * k, d + 4 * k),
+        lambda d, k: short_progression_map((d - 1) // 4, k),
+    ),
+    Family.ODD_GENERAL: (
+        lambda d: d > 1 and d % 2 == 1, "odd d > 1", family_triple, sheared_nagata
+    ),
 }
+_R7_ADMITS, _, _R7_TRIPLE, _ = _FAMILIES[Family.EVEN_GT_4]  # bound for R7's hot path
+
+
+def _admits_k(d: int, k: int) -> bool:
+    """The rule on k >= 1 that every family shares (for d = 4: odd k)."""
+    return gcd(d, k) == 1
+
+
+def _admitted(dmax: int, kmax: int, *families: Family):
+    """The (d, k) with d <= dmax and k <= kmax that one of ``families``
+    admits, in increasing d, then k."""
+    for d in range(1, dmax + 1):
+        if any(_FAMILIES[family][0](d) for family in families):
+            yield from ((d, k) for k in range(1, kmax + 1) if _admits_k(d, k))
 
 
 class SemigroupWitness(NamedTuple):
@@ -305,12 +327,11 @@ def classify_tame(triple) -> Classification:
         )
 
     k = (d2 - d1) // (d1 + 1)
-    if (  # R7
-        d1 % 2 == 0
-        and d1 > 4
-        and k >= 1
-        and gcd(d1, k) == 1
-        and family_triple(d1, k) == triple
+    if (  # R7: integer tests first, as most triples fail them
+        k >= 1
+        and _R7_ADMITS(d1)
+        and _admits_k(d1, k)
+        and _R7_TRIPLE(d1, k) == triple
     ):
         audit = reduction_audit(d1, k)
         if audit.excluded:
@@ -332,23 +353,19 @@ class FamilyParams(_Value):
         _check_int(k, "k", 1)
         if not isinstance(family, Family):  # a str hashes like its member
             raise ValueError(f"unknown family {family!r}")
-        admits, requirement = _FAMILY_DEGREES[family]
+        admits, requirement, _, _ = _FAMILIES[family]
         if not admits(d):
             raise ValueError(f"family needs {requirement}")
-        if gcd(d, k) != 1:  # for d = 4: odd k
+        if not _admits_k(d, k):
             raise ValueError("family needs gcd(d, k) = 1")
 
     def triple(self) -> Triple:
-        d, k = self.d, self.k
-        if self.family is Family.ODD_1_MOD_4:
-            return (d, d + 2 * k, d + 4 * k)
-        return family_triple(d, k)
+        _, _, triple, _ = _FAMILIES[self.family]
+        return triple(self.d, self.k)
 
     def witness(self) -> PolyMap:
-        d, k = self.d, self.k
-        if self.family is Family.ODD_1_MOD_4:
-            return short_progression_map((d - 1) // 4, k)
-        return sheared_nagata(d, k)
+        _, _, _, witness = _FAMILIES[self.family]
+        return witness(self.d, self.k)
 
 
 def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
@@ -390,7 +407,7 @@ def wild_family(params: FamilyParams) -> Tuple[Triple, Classification]:
 def default_family(d: int) -> Family:
     """The family :func:`enumerate_wild` uses: the first that admits d."""
     _check_int(d, "d", 3)  # wild triples with smallest degree < 3 do not exist
-    return next(f for f, (admits, _) in _FAMILY_DEGREES.items() if admits(d))
+    return next(f for f, (admits, *_) in _FAMILIES.items() if admits(d))
 
 
 def enumerate_wild(d: int, count: int) -> List[Classification]:
@@ -406,8 +423,6 @@ def enumerate_wild(d: int, count: int) -> List[Classification]:
     k = 0
     while len(results) < count:
         k += 1
-        if gcd(d, k) != 1:
-            continue
-        _, classification = wild_family(FamilyParams(family, d, k))
-        results.append(classification)
+        if _admits_k(d, k):
+            results.append(wild_family(FamilyParams(family, d, k))[1])
     return results

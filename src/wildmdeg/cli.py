@@ -16,9 +16,10 @@ Subcommands
     (D, D+K(D+1), D+2K(D+1)).  Exit code 0 when every case is excluded.
 ``verify --suite NAME [--kmax K] [--dmax D] [--lmax L]``
     Re-run a family of internal cross-checks over every k <= K, d <= D
-    and l <= L that the suite reads.  Exit code 0 when all pass; bounds
-    that select no check at all, or that the suite does not read, are a
-    parameter error.
+    and l <= L that the suite reads (``reductions`` and ``gcds``: the
+    (d, k) that the wild-family table admits).  Exit code 0 when all
+    pass; bounds that select no check at all, or that the suite does
+    not read, are a parameter error.
 
 Every subcommand accepts ``--format {text,json}`` (after the subcommand
 name); JSON output is deterministic (sorted keys, two-space indent).
@@ -36,14 +37,14 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .classify import TameStatus, classify_tame, enumerate_wild
+from .classify import Family, TameStatus, classify_tame, enumerate_wild
+from .classify import _FAMILIES, _admitted
 from .derivations import nagata_exp
 from .maps import (
     INVARIANT_QUADRIC,
     PolyMap,
     compose,
     inverse,
-    long_progression_map,
     multidegree,
     nagata,
     sheared_nagata,
@@ -268,7 +269,7 @@ def _construct_map(args) -> PolyMap:
         return short_progression_map(args.l, args.k)
     if args.kind == "lemma2":
         _check_int(args.r, "r", 1)  # the map's own check calls it d
-        return long_progression_map(args.r, args.k)
+        return sheared_nagata(args.r, args.k)
     # witness
     realization = classify_tame((args.d1, args.d2, args.d3)).realization
     if realization is None:
@@ -366,21 +367,14 @@ def _suite_identities(args, checks: List[Tuple[str, bool]]) -> None:
             checks.append((f"inverse o lemma1(l={l}, k={k}) == id", ok))
 
 
-def _even_family_pairs(args):
-    for d in range(4, args.dmax + 1, 2):
-        for k in range(1, args.kmax + 1):
-            if gcd(d, k) == 1:
-                yield d, k
-
-
 def _suite_reductions(args, checks: List[Tuple[str, bool]]) -> None:
-    for d, k in _even_family_pairs(args):
+    for d, k in _admitted(args.dmax, args.kmax, Family.D_EQUALS_4, Family.EVEN_GT_4):
         ok = reduction_audit(d, k).excluded
         checks.append((f"reductions excluded for d={d}, k={k}", ok))
 
 
 def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
-    for d, k in _even_family_pairs(args):
+    for d, k in _admitted(args.dmax, args.kmax, Family.D_EQUALS_4, Family.EVEN_GT_4):
         d1, d2, d3 = family_triple(d, k)
         ok = (
             gcd(d1, d2) == 1 and gcd(d2, d3) == 1 and gcd(d1, d3) == 2
@@ -388,18 +382,11 @@ def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
         checks.append(
             (f"gcd pattern (1, 1, 2) on family triple d={d}, k={k}", ok)
         )
-    for r in range(3, args.dmax + 1, 2):
-        for k in range(1, args.kmax + 1):
-            if gcd(r, k) != 1:
-                continue
-            for name, triple in (
-                ("short", (r, r + 2 * k, r + 4 * k)),
-                ("long", family_triple(r, k)),
-            ):
-                ok = all(row.holds for row in _nonmember_rows(triple))
-                checks.append(
-                    (f"{name}-progression exclusion valid, r={r}, k={k}", ok)
-                )
+    _, _, short, _ = _FAMILIES[Family.ODD_1_MOD_4]
+    for r, k in _admitted(args.dmax, args.kmax, Family.ODD_GENERAL):
+        for name, triple in (("short", short(r, k)), ("long", family_triple(r, k))):
+            ok = all(row.holds for row in _nonmember_rows(triple))
+            checks.append((f"{name}-progression exclusion valid, r={r}, k={k}", ok))
 
 
 def _run_verify(args) -> int:

@@ -438,7 +438,7 @@ def short_progression_map(l: int, k: int) -> PolyMap:
     return PolyMap(factors=(Transposition(), NagataShear(k)) + inner)
 
 
-long_progression_map = sheared_nagata  # kept: lemma2 and perfbench call it
+long_progression_map = sheared_nagata  # kept: perfbench calls it
 
 
 def tame_witness(d1: int, d2: int, d3: int, a: int, b: int) -> PolyMap:

@@ -17,9 +17,11 @@ Text format, shared by :func:`parse` and ``str()``::
                  '*'-separated variable powers 'x^e', 'y^e', 'z^e'
 
 Input may also use parentheses, nested up to 100 deep, and '^' on groups,
-e.g. ``x - 2*y*(y^2+z*x) - z*(y^2+z*x)^2``.  Output is always the expanded
-normal form with terms in descending graded lexicographic order (total
-degree first, then x > y > z), so rendered strings are stable across runs.
+e.g. ``x - 2*y*(y^2+z*x) - z*(y^2+z*x)^2``.  Whitespace between tokens is
+ASCII only: space, tab, newline, carriage return, form feed and vertical
+tab.  Output is always the expanded normal form with terms in descending
+graded lexicographic order (total degree first, then x > y > z), so
+rendered strings are stable across runs.
 
 Arithmetic kernel.  Every polynomial stores its terms under *packed
 keys*: the exponent triple (e0, e1, e2) is the single int
@@ -688,8 +690,9 @@ def _expand(
 
 def _over_t(quadric: Polynomial, power: int, t_powers: dict, form: tuple) -> Polynomial:
     """The sum of piece * t^m over the pairs (piece, m) of ``form``, with
-    t = quadric^power; ``t_powers`` keeps each t^m built, {m: t^m}, for
-    the caller's next form.  Each t^m is expanded directly as
+    t = quadric^power: the first pair's m is 0, and a second pair follows,
+    so the sum is a new polynomial; ``t_powers`` keeps each t^m built,
+    {m: t^m}, for the caller's next form.  Each t^m is expanded directly as
     quadric^(power*m): the library's quadrics are affinely independent.
 
     The result keeps its form over t, from which ``_packed_powers`` raises
@@ -701,8 +704,8 @@ def _over_t(quadric: Polynomial, power: int, t_powers: dict, form: tuple) -> Pol
     ``quadric``; with a zero one the result is the one-term piece of m = 0,
     which no power raises over t.
     """
-    result = ZERO
-    for piece, m in form:
+    (result, _), *rest = form
+    for piece, m in rest:
         if m not in t_powers:
             t_powers[m] = quadric ** (power * m)
         result = result + piece * t_powers[m]
@@ -831,7 +834,7 @@ class _Parser:
         return value
 
     def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r\f\v":
             self.pos += 1
 
     def _peek(self) -> Optional[str]:

@@ -332,6 +332,28 @@ class TestClassifyTame:
     def test_accepts_lists(self):
         assert classify_tame([2, 3, 5]).status is TameStatus.TAME
 
+    def test_r7_is_exactly_the_even_family_up_to_200(self):
+        # every sorted triple with d3 <= 200 (about 6 s); the family's
+        # triples are FamilyParams' over every (d, k) it admits
+        family = set()
+        for d in range(1, 201):
+            for k in range(1, 200):
+                try:
+                    triple = FamilyParams(Family.EVEN_GT_4, d, k).triple()
+                except ValueError:  # (d, k) not admitted
+                    continue
+                if triple[2] <= 200:
+                    family.add(triple)
+        r7 = {
+            (d1, d2, d3)
+            for d3 in range(1, 201)
+            for d2 in range(1, d3 + 1)
+            for d1 in range(1, d2 + 1)
+            if classify_tame((d1, d2, d3)).rule_id == "R7"
+        }
+        assert r7 == family
+        assert len(family) == 50
+
     @pytest.mark.parametrize(
         "bad",
         [(3, 2, 1), (0, 1, 2), (1, 2), (1, 2, 3, 4)],

@@ -5,6 +5,7 @@ and capture stdout/stderr via capsys; one smoke test exercises the
 ``python -m wildmdeg`` entry point in a subprocess.
 """
 
+import hashlib
 import json
 import operator
 import os
@@ -338,6 +339,35 @@ class TestVerifyCommand:
         assert "short-progression exclusion valid, r=5, k=2" in out
         assert "long-progression exclusion valid, r=5, k=2" in out
 
+    @pytest.mark.parametrize("dmax, kmax", [(4, 1), (5, 2), (13, 6), (60, 20)])
+    @pytest.mark.parametrize("suite", ["reductions", "gcds"])
+    def test_family_suites_check_the_reference_grid(self, capsys, suite, dmax, kmax):
+        # the grids as written before the family table: even d from 4, and
+        # for gcds also odd r from 3, each with every k coprime to it
+        expected = []
+        for d in range(4, dmax + 1, 2):
+            for k in range(1, kmax + 1):
+                if gcd(d, k) == 1:
+                    expected.append(
+                        f"reductions excluded for d={d}, k={k}"
+                        if suite == "reductions"
+                        else f"gcd pattern (1, 1, 2) on family triple d={d}, k={k}"
+                    )
+        for r in range(3, dmax + 1, 2) if suite == "gcds" else ():
+            for k in range(1, kmax + 1):
+                if gcd(r, k) == 1:
+                    expected += [
+                        f"{name}-progression exclusion valid, r={r}, k={k}"
+                        for name in ("short", "long")
+                    ]
+        code, out, _ = run(
+            capsys, "verify", "--suite", suite, "--dmax", str(dmax),
+            "--kmax", str(kmax), "--format", "json",
+        )
+        document = json.loads(out)
+        assert [row["name"] for row in document["checks"]] == expected
+        assert (code, document["all_ok"]) == (0, True)
+
     def test_json_document(self, capsys):
         code, out, _ = run(
             capsys,
@@ -451,6 +481,85 @@ def test_golden_corpus(capsys, record):
     stderr is not pinned."""
     code, out, _ = run(capsys, *record["argv"])
     assert (code, out) == (record["exit"], record["stdout"])
+
+
+# sha256 of the stdout of each distinct call of the benchmark's CLI
+# session for seeds 1 to 5, and of the gcds and reductions suites at
+# --dmax 60 --kmax 20, with the exit code, as captured at commit 26b1559.
+# The golden corpus above holds only small outputs; these pin the large
+# R8, wild-enum --with-maps and verify documents.
+_DIGESTS = (
+    ("check-reductions --d 10 --k 11 --format json", 0,
+     "a96b31be6c655904cf74fbfda7e67d7d1d99a5458200f5897220169fc2adf2de"),
+    ("check-reductions --d 10 --k 23 --format json", 0,
+     "b2eec6ffff3c0e51ff51bbb501911125f5e2e066d91878734ee1bb06d4a7de6f"),
+    ("check-reductions --d 14 --k 13 --format json", 0,
+     "c6dc112391aaa7ce3dee0737e9e42d1896ffef0c6763b18f625f3c97c724deaf"),
+    ("check-reductions --d 16 --k 37 --format json", 0,
+     "323f785d0247ac62dfef730ee0d310580b45de777c14aaf5fc984b52c6fbfe5b"),
+    ("classify --format json 2 3 1405", 0,
+     "03c624ea59d277800dace77ec8cda24ad6e81c5d556484f97b213e04a7e571c2"),
+    ("classify --format json 2 3 1407", 0,
+     "25d5c894b582f5f452508fcddb834be22e1f2a752015537f6ea4728fc676c9f4"),
+    ("classify --format json 2 3 1419", 0,
+     "4c49cfa5ac6c2584a4c0035bff1141c94d0d8771528f5a53d7d856792a0b2b49"),
+    ("classify --format json 2 5 1201", 0,
+     "e48df9e77506f22a1a278629d4474f858f07420aa6fb11cc51069aecbbaa24e6"),
+    ("classify --format json 2 5 1209", 0,
+     "76590cdcfdba5b804524fc0a86cf184aa577dd3cb5842199ac97c97a3d48a5b2"),
+    ("classify --format json 2 5 1213", 0,
+     "0eacea6529e5867da39a5f17cc5b866827a559d05c5c77530d40af5a074d448e"),
+    ("classify --format json 2 5 1215", 0,
+     "924d4f70f6e05186521cd06198f824fc4f44781b8816c91007baf41c94438c77"),
+    ("classify --format json 3 4 1501", 0,
+     "5eb37e5c912923001d1f0a6956019c3af48ac8fc89bdde807867c83575118ab7"),
+    ("classify --format json 3 4 1507", 0,
+     "06c403fd32e95b92d41bd6efd0478d0c9ecc880d287e3021a7097f942b9bb9aa"),
+    ("classify --format json 3 4 1510", 0,
+     "c274414a474a787140108097e47239cb922974092ac698be8e976d971b9a9a6f"),
+    ("classify --format json 3 4 1516", 0,
+     "e87cf9756c02b6e9bc2d2431b5917b6ae1625c770e9a5283c606298e7ea89420"),
+    ("classify --format json 3 4 1519", 0,
+     "dfdb3adcf0419f03aad4ced8771cf380e788d6f921374455b0ee05f2c5d1e07e"),
+    ("classify --format json 3 5 1505", 0,
+     "1daefe9abb88bfcefea4c2318d04095e8c29a32ca885ce760d3d942852f56ae7"),
+    ("classify --format json 3 5 1514", 0,
+     "081a589878b8f52954da6aebb8ddaa746fb9834b75040ad36ee9c77b9173a866"),
+    ("classify --format json 3 5 1523", 0,
+     "893e24de8fc397b4415e8316f6ed24981ec8c87b3e67dc3168a71da4ea53436c"),
+    ("classify --format json 3 5 1526", 0,
+     "6a723d6489a3d4f5d85c3d7ab2f91148ed9c1e17e5484cb5338c7bad65bf2b69"),
+    ("construct fdk --d 6 --k 31 --format json", 0,
+     "1b6e1eb3bdb97734eebc7c4f12d6b231134ff66762a4a574ffa5dfd5441c51a8"),
+    ("construct lemma1 --l 10 --k 300 --format json", 0,
+     "fdc891217e05e4e9580dd6747269e053910464dfc5228726d2a9aadedae6a5c7"),
+    ("construct lemma2 --r 7 --k 30 --format json", 0,
+     "ba9e9bb7544244f8d82b660bad4c97221e27562086c7cfe98a2a51bbd71effff"),
+    ("construct nagata --k 500 --format json", 0,
+     "6c0b51c18019e0dc9ca6a71840b3a939e3c8c735ed0e12a5ee0c98408244238d"),
+    ("verify --suite exp-vs-closed-form --kmax 50 --format json", 0,
+     "a556aeaa47d859e67890b04347b5b09c93e14cd84856f61239078620d9635907"),
+    ("verify --suite gcds --dmax 160 --kmax 40 --format json", 0,
+     "8d93441ddb4d6ce09f9ad118334551bfcf3c4297a816782d24d324c7cd71a6df"),
+    ("verify --suite gcds --dmax 60 --kmax 20 --format json", 0,
+     "8dc29e3f3600fdf2452575dc4221bcb6dfdc017414647c81340d968151dc4994"),
+    ("verify --suite identities --kmax 8 --dmax 14 --lmax 8 --format json", 0,
+     "895bcae791e6ed662c4d03d303820b61fd932eb9b23236fdf2aed058fd6b01f0"),
+    ("verify --suite reductions --dmax 240 --kmax 100 --format json", 0,
+     "9c613d03e8c5951d40d724373ce96c66b4db7969686572d8ca154ae85a8b57ac"),
+    ("verify --suite reductions --dmax 60 --kmax 20 --format json", 0,
+     "2f7f3cb4039b118da26fd0da250e34259900f0a543276204aaa284d11a017136"),
+    ("wild-enum --d 6 --count 10 --with-maps --format json", 0,
+     "a4d2be72a1170f155527315b292cdb698a332c27ca393c05c0979b2f1f49dd8b"),
+    ("wild-enum --d 9 --count 50 --with-maps --format json", 0,
+     "1ced0549485136743a9cf9aeec833ae377a38d586e19850d7427b57f880a7b83"),
+)
+
+
+@pytest.mark.parametrize("argv, code, digest", _DIGESTS, ids=[d[0] for d in _DIGESTS])
+def test_large_outputs_are_unchanged(capsys, argv, code, digest):
+    got, out, _ = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 _RELATION = re.compile(r" (==|!=|>=|<=|<|>) ")

@@ -295,6 +295,7 @@ class TestParse:
 
     def test_whitespace_tolerated(self):
         assert parse("  x \n* y\t+ 1 ") == X * Y + 1
+        assert parse("x\r+\fy\v") == X + Y
 
     def test_nested_signs_in_groups(self):
         assert parse("-(x - y)") == Y - X
@@ -330,9 +331,12 @@ class TestParse:
             ("\u0663*x", 0),  # Arabic-Indic three
             ("(" * 101 + "x" + ")" * 101, 100),  # past the nesting limit
             ("(" * 300 + "x" + ")" * 300, 100),
+            ("x\u3000+ y", 1),  # ideographic space: whitespace is ASCII only
+            ("x + y\x1c", 5),  # str.isspace accepts \x1c-\x1f too
         ],
         ids=["superscript-exponent", "superscript", "arabic-indic-exponent",
-             "arabic-indic-coefficient", "nesting-101", "nesting-300"],
+             "arabic-indic-coefficient", "nesting-101", "nesting-300",
+             "ideographic-space", "file-separator"],
     )
     def test_errors_outside_the_grammar(self, text, position):
         with pytest.raises(ParseError) as info:

@@ -6,11 +6,17 @@ The numeric expectations for the (6, 13, 20) audit were computed by hand:
 """
 
 from math import gcd
+from random import Random
 
 import pytest
 
+from conftest import SEED
 from wildmdeg import (
+    X,
+    Y,
+    Z,
     InequalityCheck,
+    Polynomial,
     ReductionAudit,
     ReductionQuery,
     family_triple,
@@ -71,6 +77,126 @@ class TestSuLowerBound:
             more_r = ReductionQuery(deg_f, deg_g, 1, 0)
             assert su_lower_bound(more_q) > su_lower_bound(base)
             assert su_lower_bound(base) > su_lower_bound(more_r)
+
+
+# (e, a, b): deg f = e*a < deg g = e*b, with p = a / gcd(a, b) >= 2
+_SU_DEGREES = (
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5), (1, 4, 6), (2, 2, 3)
+)
+
+
+def _random_poly(rng, degree, terms):
+    """A polynomial of total degree exactly ``degree`` (>= 1): one top term
+    and up to ``terms - 1`` terms of lower degree, small coefficients."""
+
+    def monomial(total):
+        i = rng.randint(0, total)
+        j = rng.randint(0, total - i)
+        return (i, j, total - i - j)
+
+    mapping = {monomial(degree): rng.choice((-2, -1, 1, 2, 3))}
+    for _ in range(terms - 1):
+        mapping[monomial(rng.randrange(degree))] = rng.choice((-2, -1, 1, 2))
+    return Polynomial(mapping)
+
+
+def _su_case(rng):
+    """One draw (f, g, G, q, r) for the inequality: deg f = n < deg g = m
+    with p = n / gcd(n, m) >= 2, and G in x and y with deg_y G = p*q + r.
+    In about 60 % of draws f = h^a + lower terms and g = h^b + lower
+    terms, so that their leading forms are dependent, and G starts from
+    (y^p - x^(b/gcd(a, b)))^q, which cancels those forms."""
+    e, a, b = rng.choice(_SU_DEGREES)
+    n, m = e * a, e * b
+    p = n // gcd(n, m)
+    q = rng.randrange(3 if p < 4 else 2)
+    r = rng.randrange(p)
+    if rng.random() < 0.6:
+        h = _random_poly(rng, e, 3)
+        f = h**a + _random_poly(rng, n - 1, 2)
+        g = h**b + _random_poly(rng, m - 1, 2)
+        G = (Y**p - X ** (b // gcd(a, b))) ** q
+    else:
+        f, g = _random_poly(rng, n, 3), _random_poly(rng, m, 3)
+        G = Y ** (p * q)
+    G = G * X ** rng.randrange(3) * Y**r
+    for _ in range(rng.randrange(3)):  # terms of y-degree <= p*q + r
+        term = X ** rng.randrange(4) * Y ** rng.randrange(p * q + r + 1)
+        G = G + rng.choice((-1, 1, 2)) * term
+    return f, g, G, q, r
+
+
+def _su_degrees(f, g, G, q, r):
+    """(deg G(f, g), deg [f, g], n, m), or None when the draw breaks a
+    hypothesis of the theorem: p >= 2, f and g algebraically independent
+    (some 2x2 minor of their Jacobian is nonzero), and G nonzero with
+    deg_y G = p*q + r."""
+    n, m = f.total_degree(), g.total_degree()
+    p = n // gcd(n, m)
+    minors = [
+        f.partial(s) * g.partial(t) - f.partial(t) * g.partial(s)
+        for s, t in (("x", "y"), ("x", "z"), ("y", "z"))
+    ]
+    minors = [minor for minor in minors if not minor.is_zero()]
+    if p < 2 or not minors or G.is_zero():
+        return None
+    if max(ey for _, ey, _ in G.terms()) != p * q + r:
+        return None
+    bracket = 2 + max(minor.total_degree() for minor in minors)
+    return G.substitute(f, g, Z).total_degree(), bracket, n, m
+
+
+class TestSuInequality:
+    """deg G(f, g) >= q*(p*m - m - n + deg [f, g]) + r*m, on polynomials.
+
+    This is the Shestakov-Umirbaev inequality behind every R7 floor row:
+    f and g algebraically independent, deg f = n < deg g = m and
+    p = n / gcd(n, m) >= 2 (so g's leading form is not in C[f's]), and
+    deg_y G = p*q + r with 0 <= r < p; deg [f, g] is 2 plus the largest
+    degree of a 2x2 minor of the Jacobian of (f, g).
+    """
+
+    def test_bound_on_random_draws(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import strategies as st
+
+        @hypothesis.settings(
+            derandomize=True, deadline=None, database=None, max_examples=120
+        )
+        @hypothesis.given(st.randoms(use_true_random=False))
+        def check(rng):
+            _, _, G, q, r = case = _su_case(rng)
+            degrees = _su_degrees(*case)
+            hypothesis.assume(degrees is not None)  # discarded, never passed
+            degree, bracket, n, m = degrees
+            for lb in (bracket, 2):  # the true bracket degree, and the floor row's
+                assert degree >= su_lower_bound(ReductionQuery(n, m, q, r, lb))
+            if q == 0:  # the monomials f^i g^j have distinct degrees i*n + j*m
+                assert degree == max(i * n + j * m for i, j, _ in G.terms())
+
+        check()
+
+    def test_composition_agrees_with_sympy(self):
+        # a few draws' G(f, g), so that the bound rests not on the kernel alone
+        rings = pytest.importorskip("sympy.polys.rings")
+        from sympy import QQ
+
+        ring = rings.ring("x,y,z", QQ)[0]
+
+        def in_ring(poly):  # the draws' coefficients are ints
+            return ring.from_dict({t: QQ(c) for t, c in poly.terms().items()})
+
+        rng, checked = Random(SEED), 0
+        while checked < 5:
+            f, g, G, q, r = case = _su_case(rng)
+            if _su_degrees(*case) is None:
+                continue
+            f_, g_ = in_ring(f), in_ring(g)
+            theirs = sum(
+                (QQ(c) * f_**i * g_**j for (i, j, _), c in G.terms().items()), ring.zero
+            )
+            assert theirs == in_ring(G.substitute(f, g, Z))
+            checked += 1
 
 
 def audit_of(*cases, type_iii=(6, 13, 20)):
