@@ -18,9 +18,9 @@ Layers (bottom up):
     locally nilpotent derivations and their exponentials, used to
     cross-check the closed-form shears;
 ``reduction``
-    degree lower bounds excluding elementary reductions;
+    degree lower bounds and the inequality rows computed from any triple;
 ``classify``
-    the tameness classifier, certificates, and the wild families.
+    the wild families, the tameness classifier and all its certificates.
 """
 
 from .poly import (
@@ -61,11 +61,8 @@ from .derivations import (
 )
 from .reduction import (
     InequalityCheck,
-    ReductionAudit,
     ReductionQuery,
-    family_triple,
     no_elementary_reduction_check,
-    reduction_audit,
     su_lower_bound,
     type_iii_check,
 )
@@ -73,10 +70,13 @@ from .classify import (
     Classification,
     Family,
     FamilyParams,
+    ReductionAudit,
     TameStatus,
     classify_tame,
     default_family,
     enumerate_wild,
+    family_triple,
+    reduction_audit,
     semigroup_member,
     wild_family,
 )
@@ -120,21 +120,21 @@ __all__ = [
     "nagata_exp",
     # reduction
     "InequalityCheck",
-    "ReductionAudit",
     "ReductionQuery",
-    "family_triple",
     "no_elementary_reduction_check",
-    "reduction_audit",
     "su_lower_bound",
     "type_iii_check",
     # classify
     "Classification",
     "Family",
     "FamilyParams",
+    "ReductionAudit",
     "TameStatus",
     "classify_tame",
     "default_family",
     "enumerate_wild",
+    "family_triple",
+    "reduction_audit",
     "semigroup_member",
     "wild_family",
 ]

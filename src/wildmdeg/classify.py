@@ -13,7 +13,7 @@ elementary reductions and the type-III shape (``ReductionAudit``, R7).
 The companion constructors :func:`wild_family` and :func:`enumerate_wild`
 produce certified *wild* triples together with automorphisms realizing
 them, from four families; one table states each family's admitted
-degrees d, triple and witness map, which R7's match also reads.
+degrees d, triple and witness map, which R7 and :func:`reduction_audit` read.
 A family certificate keeps the classifier's own certificate as its
 ``proof``.  When that proof is a citation (R3, R4 or R6), its ``checks``
 are the residue rows that show d3 is not in <d1, d2>; an R7 proof is the
@@ -39,11 +39,11 @@ from .maps import (
 )
 from .poly import X, Y, _Value, _check_int, _validate_sorted_triple
 from .reduction import (
+    Case,
     InequalityCheck,
-    ReductionAudit,
     _nonmember_rows,
-    family_triple,
-    reduction_audit,
+    no_elementary_reduction_check,
+    type_iii_check,
 )
 
 Triple = Tuple[int, int, int]
@@ -64,6 +64,13 @@ class Family(str, Enum):
     D_EQUALS_4 = "d_equals_4"
 
 
+def family_triple(d: int, k: int) -> Triple:
+    """The family triple (d, d + k(d+1), d + 2k(d+1)) of ``sheared_nagata(d, k)``."""
+    _check_int(d, "d", 1)
+    _check_int(k, "k", 1)
+    return (d, d + k * (d + 1), d + 2 * k * (d + 1))
+
+
 # Each family once, d its smallest degree: (admits(d), requirement,
 # triple(d, k), witness(d, k)); default_family takes the first that admits d.
 _FAMILIES = {
@@ -82,6 +89,9 @@ _FAMILIES = {
     ),
 }
 _R7_ADMITS, _, _R7_TRIPLE, _ = _FAMILIES[Family.EVEN_GT_4]  # bound for R7's hot path
+# the families whose triples reduction_audit certifies, and their tests on d
+_AUDITED = (Family.D_EQUALS_4, Family.EVEN_GT_4)
+_AUDITED_ADMITS = tuple(_FAMILIES[family][0] for family in _AUDITED)
 
 
 def _admits_k(d: int, k: int) -> bool:
@@ -95,6 +105,83 @@ def _admitted(dmax: int, kmax: int, *families: Family):
     for d in range(1, dmax + 1):
         if any(_FAMILIES[family][0](d) for family in families):
             yield from ((d, k) for k in range(1, kmax + 1) if _admits_k(d, k))
+
+
+class ReductionAudit(_Value):
+    """The R7 audit of one family triple: all three cases and type III.
+
+    ``excluded`` holds when every row of every case and every type-III
+    row holds; then the triple is not a tame multidegree, and the audit
+    is the classifier's ``reduction_exclusion`` certificate.  In the
+    document a case's ``conclusion`` is ``reduction_impossible`` when all
+    its rows hold and ``inconclusive`` otherwise, and ``type_iii``'s
+    ``excluded`` is the conjunction of its rows.
+    """
+
+    kind = "reduction_exclusion"
+    _fields = ("d", "k", "cases", "type_iii")
+
+    def __init__(
+        self,
+        d: int,
+        k: int,
+        cases: Tuple[Case, ...],
+        type_iii: Tuple[InequalityCheck, ...],
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "type_iii", type_iii)
+
+    @property
+    def triple(self) -> Triple:
+        return family_triple(self.d, self.k)
+
+    @property
+    def excluded(self) -> bool:
+        return all(row.holds for row in self.type_iii) and all(
+            row.holds for _, rows in self.cases for row in rows
+        )
+
+    def data_dict(self) -> dict:
+        cases = []
+        for coordinate, rows in self.cases:
+            holds = all(row.holds for row in rows)
+            cases.append({
+                "coordinate": coordinate,
+                "checks": [row.to_dict() for row in rows],
+                "conclusion": "reduction_impossible" if holds else "inconclusive",
+            })
+        return {
+            "d": self.d,
+            "k": self.k,
+            "cases": cases,
+            "type_iii": {
+                "triple": list(self.triple),
+                "checks": [row.to_dict() for row in self.type_iii],
+                "excluded": all(row.holds for row in self.type_iii),
+            },
+        }
+
+    def to_dict(self) -> dict:
+        triple, excluded = list(self.triple), self.excluded
+        return {**self.data_dict(), "triple": triple, "all_excluded": excluded}
+
+
+def reduction_audit(d: int, k: int) -> ReductionAudit:
+    """The R7 audit of ``family_triple(d, k)``, for even d >= 4 with gcd(d, k) = 1."""
+    _check_int(d, "d", 4)
+    _check_int(k, "k", 1)
+    for admits in _AUDITED_ADMITS:
+        if admits(d):
+            break
+    else:
+        raise ValueError("d must be even")
+    if not _admits_k(d, k):
+        raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
+    triple = family_triple(d, k)
+    cases = no_elementary_reduction_check(triple)
+    return ReductionAudit(d, k, cases, type_iii_check(triple))
 
 
 class SemigroupWitness(NamedTuple):

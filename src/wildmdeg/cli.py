@@ -38,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .classify import Family, TameStatus, classify_tame, enumerate_wild
-from .classify import _FAMILIES, _admitted
+from .classify import _AUDITED, _FAMILIES, _admitted, family_triple, reduction_audit
 from .derivations import nagata_exp
 from .maps import (
     INVARIANT_QUADRIC,
@@ -51,7 +51,7 @@ from .maps import (
     short_progression_map,
 )
 from .poly import _check_int
-from .reduction import _nonmember_rows, family_triple, reduction_audit
+from .reduction import _nonmember_rows
 
 _EXIT_USAGE = 3
 
@@ -368,13 +368,13 @@ def _suite_identities(args, checks: List[Tuple[str, bool]]) -> None:
 
 
 def _suite_reductions(args, checks: List[Tuple[str, bool]]) -> None:
-    for d, k in _admitted(args.dmax, args.kmax, Family.D_EQUALS_4, Family.EVEN_GT_4):
+    for d, k in _admitted(args.dmax, args.kmax, *_AUDITED):
         ok = reduction_audit(d, k).excluded
         checks.append((f"reductions excluded for d={d}, k={k}", ok))
 
 
 def _suite_gcds(args, checks: List[Tuple[str, bool]]) -> None:
-    for d, k in _admitted(args.dmax, args.kmax, Family.D_EQUALS_4, Family.EVEN_GT_4):
+    for d, k in _admitted(args.dmax, args.kmax, *_AUDITED):
         d1, d2, d3 = family_triple(d, k)
         ok = (
             gcd(d1, d2) == 1 and gcd(d2, d3) == 1 and gcd(d1, d3) == 2

@@ -11,17 +11,11 @@ d1 < d2 < d3, :func:`no_elementary_reduction_check` audits each
 coordinate from the triple alone.  Each case is a pair (coordinate,
 rows): one floor row from :func:`su_lower_bound` rules out q >= 1, and
 the rows of :func:`_nonmember_rows` show the coordinate's degree d_i is
-not in <d_j, d_l>, one residue row per b <= d_i // d_l.  The same rule
-shows d3 is not in <d1, d2>; a wild family whose proof is a citation
-carries those rows as that citation's ``checks`` (``wildmdeg.classify``).
-:func:`type_iii_check` gives the parity/ratio rows that exclude the
-delicate type-III reduction shape.
-:func:`reduction_audit` checks the parameters of the even-degree family
-triple (d, d+k(d+1), d+2k(d+1)) and combines the two for it into a
-:class:`ReductionAudit`; when every row holds, that audit is itself the
-certificate of non-tameness (rule R7 of the classifier).
-Every fact is an :class:`InequalityCheck` row, re-checkable from its JSON
-alone, and every verdict is the conjunction of its rows.
+not in <d_j, d_l>, one residue row per b <= d_i // d_l; the same rule
+shows d3 is not in <d1, d2>.  :func:`type_iii_check` gives the rows that
+exclude the type-III shape.  Every fact is an :class:`InequalityCheck`
+row, re-checkable from its JSON alone, and every verdict is the
+conjunction of its rows; ``wildmdeg.classify`` decides what they certify.
 """
 
 from __future__ import annotations
@@ -100,13 +94,6 @@ class InequalityCheck(_Value):
 Case = Tuple[str, Tuple[InequalityCheck, ...]]
 
 
-def family_triple(d: int, k: int) -> Tuple[int, int, int]:
-    """The family triple (d, d + k(d+1), d + 2k(d+1)) of ``sheared_nagata(d, k)``."""
-    _check_int(d, "d", 1)
-    _check_int(k, "k", 1)
-    return (d, d + k * (d + 1), d + 2 * k * (d + 1))
-
-
 def _checks(rows) -> Tuple[InequalityCheck, ...]:
     """Checks from ``(name, lhs, relation, rhs)`` rows; holds = relation(lhs, rhs)."""
     return tuple(
@@ -176,77 +163,3 @@ def type_iii_check(triple: Tuple[int, int, int]) -> Tuple[InequalityCheck, ...]:
         ("d1 mod 3 != 0", d1 % 3, ne, 0),
         ("2*d3 != 3*d2", 2 * d3, ne, 3 * d2),
     ])
-
-
-class ReductionAudit(_Value):
-    """The R7 audit of one family triple: all three cases and type III.
-
-    ``excluded`` holds when every row of every case and every type-III
-    row holds; then the triple is not a tame multidegree, and the audit
-    is the classifier's ``reduction_exclusion`` certificate.  In the
-    document a case's ``conclusion`` is ``reduction_impossible`` when all
-    its rows hold and ``inconclusive`` otherwise, and ``type_iii``'s
-    ``excluded`` is the conjunction of its rows.
-    """
-
-    kind = "reduction_exclusion"
-    _fields = ("d", "k", "cases", "type_iii")
-
-    def __init__(
-        self,
-        d: int,
-        k: int,
-        cases: Tuple[Case, ...],
-        type_iii: Tuple[InequalityCheck, ...],
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "type_iii", type_iii)
-
-    @property
-    def triple(self) -> Tuple[int, int, int]:
-        return family_triple(self.d, self.k)
-
-    @property
-    def excluded(self) -> bool:
-        return all(row.holds for row in self.type_iii) and all(
-            row.holds for _, rows in self.cases for row in rows
-        )
-
-    def data_dict(self) -> dict:
-        cases = []
-        for coordinate, rows in self.cases:
-            holds = all(row.holds for row in rows)
-            cases.append({
-                "coordinate": coordinate,
-                "checks": [row.to_dict() for row in rows],
-                "conclusion": "reduction_impossible" if holds else "inconclusive",
-            })
-        return {
-            "d": self.d,
-            "k": self.k,
-            "cases": cases,
-            "type_iii": {
-                "triple": list(self.triple),
-                "checks": [row.to_dict() for row in self.type_iii],
-                "excluded": all(row.holds for row in self.type_iii),
-            },
-        }
-
-    def to_dict(self) -> dict:
-        triple, excluded = list(self.triple), self.excluded
-        return {**self.data_dict(), "triple": triple, "all_excluded": excluded}
-
-
-def reduction_audit(d: int, k: int) -> ReductionAudit:
-    """The R7 audit of ``family_triple(d, k)``, for even d >= 4 with gcd(d, k) = 1."""
-    _check_int(d, "d", 4)
-    _check_int(k, "k", 1)
-    if d % 2:
-        raise ValueError("d must be even")
-    if gcd(d, k) != 1:
-        raise ValueError(f"gcd(d, k) must be 1, got gcd({d}, {k}) = {gcd(d, k)}")
-    triple = family_triple(d, k)
-    cases = no_elementary_reduction_check(triple)
-    return ReductionAudit(d, k, cases, type_iii_check(triple))

@@ -354,6 +354,18 @@ class TestClassifyTame:
         assert r7 == family
         assert len(family) == 50
 
+    def test_unknown_verdicts_have_three_distinct_degrees(self):
+        # d1 = d2 falls to R1, R8 or R2 and d2 = d3 to R8 (b = 1), so an
+        # unknown triple always has d1 < d2 < d3
+        unknown = 0
+        for d3 in range(1, 61):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    if classify_tame((d1, d2, d3)).status is TameStatus.UNKNOWN:
+                        unknown += 1
+                        assert d1 < d2 < d3
+        assert unknown == 17_274
+
     @pytest.mark.parametrize(
         "bad",
         [(3, 2, 1), (0, 1, 2), (1, 2), (1, 2, 3, 4)],

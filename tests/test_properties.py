@@ -22,13 +22,16 @@ from wildmdeg import (  # noqa: E402
     X,
     Y,
     Z,
+    ZERO,
     NagataShear,
     PolyMap,
     Polynomial,
     Transposition,
     Triangular,
     compose,
+    nagata,
     parse,
+    sheared_nagata,
 )
 from wildmdeg import maps  # noqa: E402
 
@@ -58,6 +61,50 @@ def test_power_is_repeated_product(base, n):
 @given(polynomials(max_terms=10, max_exponent=12))
 def test_parse_inverts_str(poly):
     assert parse(str(poly)) == poly
+
+
+# -- ring laws ------------------------------------------------------------------
+#
+# Besides small polynomials, the operands include map coordinates, so that
+# powers take all three routes: the first coordinate of nagata(1) is raised
+# over its form in t, the affinely independent ones by the multinomial
+# theorem, and the other two of sheared_nagata(2, 1), which carry no form, by
+# chains of products.
+
+operands = st.one_of(
+    polynomials(max_terms=4, max_exponent=2),
+    st.sampled_from(nagata(1).coords[:2] + sheared_nagata(2, 1).coords),
+)
+
+
+@REPRODUCIBLE
+@given(operands, operands, operands)
+def test_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == ZERO
+
+
+@REPRODUCIBLE
+@given(operands, st.integers(0, 3), st.integers(0, 3))
+def test_power_of_a_sum_of_exponents(base, m, n):
+    assert base ** (m + n) == base**m * base**n
+
+
+@REPRODUCIBLE
+@given(
+    polynomials(max_terms=3, max_exponent=1),
+    polynomials(max_terms=3, max_exponent=1),
+    operands,
+    operands,
+    operands,
+)
+def test_substitute_keeps_sums_and_products(a, b, u, v, w):
+    assert (a + b).substitute(u, v, w) == a.substitute(u, v, w) + b.substitute(u, v, w)
+    assert (a * b).substitute(u, v, w) == a.substitute(u, v, w) * b.substitute(u, v, w)
 
 
 def shifts(variable):

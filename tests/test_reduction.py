@@ -15,6 +15,8 @@ from wildmdeg import (
     X,
     Y,
     Z,
+    Family,
+    FamilyParams,
     InequalityCheck,
     Polynomial,
     ReductionAudit,
@@ -25,6 +27,7 @@ from wildmdeg import (
     su_lower_bound,
     type_iii_check,
 )
+from wildmdeg.classify import _admitted
 
 
 class TestReductionQuery:
@@ -470,3 +473,21 @@ class TestReductionAudit:
             reduction_audit(6, 0)
         with pytest.raises(TypeError):
             reduction_audit(6.0, 1)
+
+    def test_admits_what_the_family_table_admits(self):
+        # the table's two even families admit exactly the paper's (d, k):
+        # even d >= 4 with gcd(d, k) = 1; the audit accepts those and no other
+        families = (Family.D_EQUALS_4, Family.EVEN_GT_4)
+        admitted = set(_admitted(60, 30, *families))
+        assert admitted == {
+            (d, k) for d in range(4, 61, 2) for k in range(1, 31) if gcd(d, k) == 1
+        }
+        for d in range(1, 61):
+            for k in range(1, 31):
+                if (d, k) not in admitted:
+                    with pytest.raises(ValueError):
+                        reduction_audit(d, k)
+                    continue
+                family = families[0] if d == 4 else families[1]
+                triple = FamilyParams(family, d, k).triple()
+                assert reduction_audit(d, k).triple == triple
