@@ -4,9 +4,9 @@ Given a sorted triple ``1 <= d1 <= d2 <= d3`` that occurs as the
 multidegree of a polynomial automorphism of 3-space, :func:`classify_tame`
 decides whether some *tame* automorphism realizes the same triple.  Every
 verdict ships a machine-checkable certificate.  A tame verdict is proved
-by construction: the factor tokens of an explicit triangular witness map
-(R1, R2), or a semigroup identity (``SemigroupWitness``, R8) from which
-the map is built.  A not-tame verdict carries either a citation record
+by construction: the shifts of a triangular witness map (R1, R2) or a
+semigroup identity (``SemigroupWitness``, R8), integers from which the
+map is built when read.  A not-tame verdict carries either a citation record
 stating the characterization used (R3, R4, R6) or an audit excluding
 elementary reductions and the type-III shape (``ReductionAudit``, R7).
 
@@ -18,8 +18,8 @@ A family certificate keeps the classifier's own certificate as its
 ``proof``.  When that proof is a citation (R3, R4 or R6), its ``checks``
 are the residue rows that show d3 is not in <d1, d2>; an R7 proof is the
 audit's own rows.  Each proof is held once: a classification reads its
-realization from its certificate, the R8 map is built from the semigroup
-identity only when it is read, and a family hands over the witness it checked.
+realization from its certificate, a tame map is built from its integers
+only when it is read, and a family hands over the witness it checked.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .poly import X, Y, _Value, _check_int, _validate_sorted_triple
+from .poly import Polynomial, _Value, _check_int, _validate_sorted_triple
 from .reduction import (
     Case,
     InequalityCheck,
@@ -208,13 +208,23 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
 
 
 class WitnessCertificate(_Value):
-    """A tame map whose multidegree is the triple, given by its factors."""
+    """A tame map whose multidegree is the triple: ``shifts`` holds one
+    (variable, base, exponent) per triangular factor, adding base^exponent
+    to the variable, and the ``witness`` map is built from them when read."""
 
     kind = "witness_map"
-    _fields = ("witness",)
+    _fields = ("shifts",)
 
-    def __init__(self, witness: PolyMap):
-        object.__setattr__(self, "witness", witness)
+    def __init__(self, shifts: Tuple[Tuple[str, str, int], ...]):
+        object.__setattr__(self, "shifts", shifts)
+
+    @cached_property
+    def witness(self) -> PolyMap:
+        return PolyMap(
+            factors=tuple(
+                Triangular(v, Polynomial.variable(b) ** e) for v, b, e in self.shifts
+            )
+        )
 
     def data_dict(self) -> dict:
         return {"factors": [g.token() for g in self.witness.factors]}
@@ -343,7 +353,7 @@ def _characterization(d1: int, d2: int, d3: int) -> Optional[Tuple[str, str]]:
             "for odd coprime d1 < d2, (d1, d2, d3) is a tame multidegree"
             " exactly when d3 is in <d1, d2>;"
         )
-    if d1 == 4 and d2 % 2 == 1 and d2 >= 5 and d3 % 2 == 0 and d3 - d2 != 1:
+    if d1 == 4 and d2 % 2 == 1 and d3 % 2 == 0 and d3 - d2 != 1:
         return "R6", (
             "for d2 odd and d3 even with d3 - d2 != 1, (4, d2, d3) is a tame"
             " multidegree exactly when d3 is in <4, d2>;"
@@ -355,7 +365,7 @@ def classify_tame(triple) -> Classification:
     """Decide whether a sorted degree triple is the multidegree of a tame map.
 
     Rules, tried in order (the first that applies wins).  A tame verdict
-    always carries a witness map, and a citation always means not tame:
+    always yields a witness map, and a citation always means not tame:
 
     =====  ============================================================
     R1     d1 = 1: tame; witness (x, y + x^d2, z + x^d3).
@@ -379,11 +389,9 @@ def classify_tame(triple) -> Classification:
     d1, d2, d3 = triple = _validate_sorted_triple(triple)
 
     if d1 == 1:  # R1
-        witness = PolyMap(
-            factors=(Triangular("y", X**d2), Triangular("z", X**d3))
-        )
+        shifts = (("y", "x", d2), ("z", "x", d3))
         return Classification(
-            triple, TameStatus.TAME, "R1", WitnessCertificate(witness)
+            triple, TameStatus.TAME, "R1", WitnessCertificate(shifts)
         )
 
     member = semigroup_member(d1, d2, d3)
@@ -391,15 +399,9 @@ def classify_tame(triple) -> Classification:
         return Classification(triple, TameStatus.TAME, "R8", member)
 
     if d2 % d1 == 0:  # R2
-        witness = PolyMap(
-            factors=(
-                Triangular("y", X ** (d2 // d1)),
-                Triangular("x", Y**d1),
-                Triangular("z", Y**d3),
-            )
-        )
+        shifts = (("y", "x", d2 // d1), ("x", "y", d1), ("z", "y", d3))
         return Classification(
-            triple, TameStatus.TAME, "R2", WitnessCertificate(witness)
+            triple, TameStatus.TAME, "R2", WitnessCertificate(shifts)
         )
 
     cited = _characterization(d1, d2, d3)

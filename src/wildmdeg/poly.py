@@ -373,11 +373,6 @@ class Polynomial:
             return self
         top = exponent * self._top
         width = max(self._width, _width(top))
-        if len(self._keys) == 1:
-            ((key, c),) = _repacked(self, width).items()
-            return Polynomial._raw(
-                {key * exponent: c**exponent}, width, top, self._fractions
-            )
         table = _packed_powers(self, [exponent], width, remember=False)
         return Polynomial._raw(dict(table[exponent]), width, top, self._fractions)
 

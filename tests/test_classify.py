@@ -8,6 +8,7 @@ test_reduction's frozen numbers.
 
 import json
 import re
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -18,9 +19,12 @@ from wildmdeg import (
     Family,
     FamilyParams,
     InequalityCheck,
+    PolyMap,
+    Polynomial,
     ReductionAudit,
     ReductionQuery,
     TameStatus,
+    Triangular,
     X,
     Y,
     Z,
@@ -307,6 +311,36 @@ class TestClassifyTame:
                     assert compose(witness, inverse(witness)).is_identity()
                     checked += 1
         assert checked == 285
+
+    def test_the_classifier_builds_no_map(self, monkeypatch):
+        # a certificate holds integers: no verdict on [1,40]^3 constructs a
+        # map, a generator or a polynomial until its realization is read
+        built = Counter()
+
+        def counted(name, original):
+            def count(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return count
+
+        for cls in (PolyMap, Triangular, Polynomial):
+            monkeypatch.setattr(
+                cls, "__init__", counted(cls.__name__, cls.__init__)
+            )
+        raw = counted("Polynomial._raw", Polynomial.__dict__["_raw"].__func__)
+        monkeypatch.setattr(Polynomial, "_raw", classmethod(raw))
+        verdicts = 0
+        for d3 in range(1, 41):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    classify_tame((d1, d2, d3))
+                    verdicts += 1
+        assert verdicts == 11_480
+        assert built == Counter()
+        # the counters see a map built when it is read
+        multidegree(classify_tame((4, 8, 9)).realization)
+        assert {"PolyMap", "Triangular", "Polynomial._raw"} <= set(built)
 
     def test_realization_is_read_once(self):
         for triple in ((1, 3, 5), (2, 3, 5), (2, 4, 7)):

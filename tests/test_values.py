@@ -64,7 +64,7 @@ def _instances():
         ReductionQuery(3, 5, 1, 0),
         InequalityCheck("d2 mod 2 != 0", 1, 0, True),
         reduction_audit(6, 1),
-        WitnessCertificate(nagata(1)),
+        classify_tame((2, 4, 5)).certificate,
         CitationCertificate("a statement"),
         _family_certificate(),
         classify_tame((5, 7, 9)),
@@ -137,12 +137,28 @@ class TestEqualityAndHash:
         )
         assert changed != certificate
 
-    def test_a_map_field_is_unhashable(self):
-        # PolyMap has no hash, so neither has a value that holds one
-        with pytest.raises(TypeError):
-            hash(WitnessCertificate(nagata(1)))
-        with pytest.raises(TypeError):
-            hash(classify_tame((1, 2, 3)))
+    def test_every_verdict_is_a_value(self):
+        # no certificate holds a map among its fields, so every verdict on
+        # [1,40]^3 hashes, and equal verdicts hash equally
+        verdicts = set()
+        for d3 in range(1, 41):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    result = classify_tame((d1, d2, d3))
+                    verdicts.add(result)
+                    again = classify_tame((d1, d2, d3))
+                    assert again == result and hash(again) == hash(result)
+        assert len(verdicts) == 11_480
+        for triple, shifts in (
+            ((1, 2, 3), (("y", "x", 2), ("z", "x", 3))),
+            ((2, 4, 5), (("y", "x", 2), ("x", "y", 2), ("z", "y", 5))),
+        ):
+            result = classify_tame(triple)
+            certificate = result.certificate
+            assert certificate == WitnessCertificate(shifts)
+            assert hash(certificate) == hash(WitnessCertificate(shifts))
+            assert certificate.witness is certificate.witness
+            assert result.realization is certificate.witness
 
 
 class TestImmutability:
