@@ -37,7 +37,7 @@ from .maps import (
     short_progression_map,
     tame_witness,
 )
-from .poly import Polynomial, _Value, _check_int, _validate_sorted_triple
+from .poly import X, Y, Z, _VAR_INDEX, _Value, _check_int, _validate_sorted_triple
 from .reduction import (
     Case,
     InequalityCheck,
@@ -210,19 +210,24 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
 class WitnessCertificate(_Value):
     """A tame map whose multidegree is the triple: ``shifts`` holds one
     (variable, base, exponent) per triangular factor, adding base^exponent
-    to the variable, and the ``witness`` map is built from them when read."""
+    to the variable, and the ``witness`` map is built from them when read.
+    Each shift is checked here, so a malformed one fails at construction."""
 
     kind = "witness_map"
     _fields = ("shifts",)
 
     def __init__(self, shifts: Tuple[Tuple[str, str, int], ...]):
-        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "shifts", tuple(map(tuple, shifts)))
+        for variable, base, exponent in self.shifts:
+            _check_int(exponent, "exponent", 1)
+            if variable == base or variable not in _VAR_INDEX or base not in _VAR_INDEX:
+                raise ValueError(f"cannot add {base!r}^{exponent} to {variable!r}")
 
     @cached_property
     def witness(self) -> PolyMap:
         return PolyMap(
             factors=tuple(
-                Triangular(v, Polynomial.variable(b) ** e) for v, b, e in self.shifts
+                Triangular(v, (X, Y, Z)[_VAR_INDEX[b]] ** e) for v, b, e in self.shifts
             )
         )
 
@@ -389,10 +394,8 @@ def classify_tame(triple) -> Classification:
     d1, d2, d3 = triple = _validate_sorted_triple(triple)
 
     if d1 == 1:  # R1
-        shifts = (("y", "x", d2), ("z", "x", d3))
-        return Classification(
-            triple, TameStatus.TAME, "R1", WitnessCertificate(shifts)
-        )
+        certificate = WitnessCertificate((("y", "x", d2), ("z", "x", d3)))
+        return Classification(triple, TameStatus.TAME, "R1", certificate)
 
     member = semigroup_member(d1, d2, d3)
     if member is not None:  # R8
@@ -400,9 +403,8 @@ def classify_tame(triple) -> Classification:
 
     if d2 % d1 == 0:  # R2
         shifts = (("y", "x", d2 // d1), ("x", "y", d1), ("z", "y", d3))
-        return Classification(
-            triple, TameStatus.TAME, "R2", WitnessCertificate(shifts)
-        )
+        certificate = WitnessCertificate(shifts)
+        return Classification(triple, TameStatus.TAME, "R2", certificate)
 
     cited = _characterization(d1, d2, d3)
     if cited is not None:  # R3, R4, R6

@@ -330,13 +330,10 @@ class TestClassifyTame:
             )
         raw = counted("Polynomial._raw", Polynomial.__dict__["_raw"].__func__)
         monkeypatch.setattr(Polynomial, "_raw", classmethod(raw))
-        verdicts = 0
         for d3 in range(1, 41):
             for d2 in range(1, d3 + 1):
                 for d1 in range(1, d2 + 1):
                     classify_tame((d1, d2, d3))
-                    verdicts += 1
-        assert verdicts == 11_480
         assert built == Counter()
         # the counters see a map built when it is read
         multidegree(classify_tame((4, 8, 9)).realization)
