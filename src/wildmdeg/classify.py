@@ -210,8 +210,7 @@ def semigroup_member(d1: int, d2: int, d3: int) -> Optional[SemigroupWitness]:
 class WitnessCertificate(_Value):
     """A tame map whose multidegree is the triple: ``shifts`` holds one
     (variable, base, exponent) per triangular factor, adding base^exponent
-    to the variable, and the ``witness`` map is built from them when read.
-    Each shift is checked here, so a malformed one fails at construction."""
+    to the variable, and the ``witness`` map is built from them when read."""
 
     kind = "witness_map"
     _fields = ("shifts",)
@@ -394,7 +393,8 @@ def classify_tame(triple) -> Classification:
     d1, d2, d3 = triple = _validate_sorted_triple(triple)
 
     if d1 == 1:  # R1
-        certificate = WitnessCertificate((("y", "x", d2), ("z", "x", d3)))
+        shifts = (("y", "x", d2), ("z", "x", d3))
+        certificate = WitnessCertificate(shifts)
         return Classification(triple, TameStatus.TAME, "R1", certificate)
 
     member = semigroup_member(d1, d2, d3)
